@@ -16,6 +16,9 @@ burned by (see README.md in this directory for the incident history):
 * ``GC01`` — GC pauses only through ``repro/gcutils.py``.
 * ``FSTR01`` — no placeholder-less f-strings (the zone linter's own
   ``ipv6hint-mismatch`` message bug).
+* ``NAME01`` — the unchecked ``Name._unchecked`` constructor stays
+  inside ``repro.dnscore``, where every caller has already enforced the
+  label and name length limits it skips.
 * ``INV01`` — paired invalidation: any scope that clears a
   ``_zone_cache`` must also invalidate the layered answer cache — or
   carry a justified ``# codelint: disable=INV01`` proving the cache's
@@ -559,6 +562,41 @@ class GcHygieneRule(Rule):
                     src, node,
                     f"{dotted}() outside repro/gcutils.py; use "
                     "gcutils.paused_gc() so nested pause windows compose",
+                )
+
+
+# ---------------------------------------------------------------------------
+# NAME01 — unchecked Name construction stays in dnscore
+# ---------------------------------------------------------------------------
+
+_UNCHECKED_NAME_CTOR = "_unchecked"
+
+
+@register
+class UncheckedNameRule(Rule):
+    code = "NAME01"
+    name = "unchecked-name-outside-dnscore"
+    severity = Severity.ERROR
+    rationale = (
+        "Name._unchecked builds a Name without the 63/255-octet and "
+        "empty-label checks; the wire reader and Name's own slicing "
+        "methods in repro.dnscore use it only after enforcing those "
+        "limits themselves. Anywhere else an oversized or malformed name "
+        "would enter the world model unnoticed and only fail (or encode "
+        "wrongly) much later; construct with Name(...) or "
+        "Name.from_text(...) instead."
+    )
+
+    def check(self, src: SourceFile) -> Iterator[Finding]:
+        if src.subsystem == "dnscore":
+            return
+        for node in ast.walk(src.tree):
+            if isinstance(node, ast.Attribute) and node.attr == _UNCHECKED_NAME_CTOR:
+                yield self.finding(
+                    src, node,
+                    f"{_UNCHECKED_NAME_CTOR}() skips Name validation and is "
+                    "reserved to repro.dnscore; use Name(...) or "
+                    "Name.from_text(...)",
                 )
 
 

@@ -2,7 +2,16 @@
 
 Supports the header flags relevant to the study — notably AD (Authenticated
 Data, RFC 3655/4035) which the scanner records for DNSSEC analysis — and the
-four sections. Records in a section are grouped into RRsets on parse.
+four sections. Records in a section are grouped into RRsets on parse, one
+RRset per (owner, type, class, TTL), so encoding a message and decoding it
+again keeps its RRsets.
+
+The codec packs and unpacks the header and each RR's fixed fields with
+precompiled :class:`struct.Struct` formats and writes each rdata through
+:meth:`Rdata.write_to`, which reuses the rdata's cached wire form where no
+name in it can be compressed. Encodings are byte-identical to writing
+every field and label one at a time; ``tests/test_wire_corpus.py`` pins
+the digest of a campaign's worth of them.
 """
 
 from __future__ import annotations
@@ -15,6 +24,10 @@ from .names import Name
 from .rdata import Rdata, rdata_from_wire
 from .rrset import RRset
 from .wire import WireError, WireReader, WireWriter
+
+_HEADER = struct.Struct("!6H")
+_QUESTION_FIXED = struct.Struct("!HH")  # type, class
+_RR_FIXED = struct.Struct("!HHIH")  # type, class, TTL, rdlength
 
 FLAG_QR = 0x8000
 FLAG_AA = 0x0400
@@ -173,43 +186,37 @@ class Message:
 
     def to_wire(self) -> bytes:
         writer = WireWriter()
-        flags = (self.flags & 0x7FB0) | ((self.opcode & 0xF) << 11) | (self.rcode & 0xF)
-        if self.is_response:
-            flags |= FLAG_QR
-        writer.write_u16(self.msg_id)
-        writer.write_u16(flags)
-        writer.write_u16(len(self.questions))
-        counts = []
-        for section in (self.answers, self.authority, self.additional):
-            counts.append(sum(len(rrset) for rrset in section))
+        write = writer.write_bytes
+        write_name = writer.write_name
+        flags = (self.flags & (0x7FB0 | FLAG_QR)) | ((self.opcode & 0xF) << 11) | (self.rcode & 0xF)
+        sections = (self.answers, self.authority, self.additional)
+        counts = [sum(map(len, section)) for section in sections]
         if self.use_edns:
             counts[2] += 1  # the OPT pseudo-RR rides in ADDITIONAL
-        for count in counts:
-            writer.write_u16(count)
+        write(_HEADER.pack(
+            self.msg_id & 0xFFFF, flags, len(self.questions) & 0xFFFF,
+            *(count & 0xFFFF for count in counts),
+        ))
         for question in self.questions:
-            writer.write_name(question.name)
-            writer.write_u16(question.rdtype)
-            writer.write_u16(question.rdclass)
-        for section in (self.answers, self.authority, self.additional):
+            write_name(question.name)
+            write(_QUESTION_FIXED.pack(question.rdtype & 0xFFFF, question.rdclass & 0xFFFF))
+        for section in sections:
             for rrset in section:
+                name = rrset.name
+                fixed = _RR_FIXED.pack(
+                    rrset.rdtype & 0xFFFF, rrset.rdclass & 0xFFFF, rrset.ttl & 0xFFFFFFFF, 0
+                )
                 for rdata in rrset:
-                    writer.write_name(rrset.name)
-                    writer.write_u16(rrset.rdtype)
-                    writer.write_u16(rrset.rdclass)
-                    writer.write_u32(rrset.ttl)
-                    rdlength_offset = writer.reserve_u16()
-                    before = len(writer)
-                    rdata.to_wire(writer)
-                    writer.patch_u16(rdlength_offset, len(writer) - before)
+                    write_name(name)
+                    writer.write_rdata(fixed, rdata)
         if self.use_edns:
             # OPT RR (RFC 6891): root owner; CLASS carries the payload
             # size; the high TTL bits carry ext-rcode/version, the low 16
-            # the flags (DO = 0x8000).
-            writer.write_name(Name.root())
-            writer.write_u16(rdtypes.OPT)
-            writer.write_u16(self.edns_payload_size)
-            writer.write_u32(0x8000 if self.dnssec_ok else 0)
-            writer.write_u16(0)  # no EDNS options
+            # the flags (DO = 0x8000); no EDNS options.
+            write(b"\x00")
+            write(_RR_FIXED.pack(
+                rdtypes.OPT, self.edns_payload_size & 0xFFFF, 0x8000 if self.dnssec_ok else 0, 0
+            ))
         return writer.getvalue()
 
     @classmethod
@@ -217,29 +224,24 @@ class Message:
         if len(data) < 12:
             raise WireError("message shorter than header")
         reader = WireReader(data)
-        msg = cls(reader.read_u16())
-        flags = reader.read_u16()
-        msg.flags = flags & 0x7FB0
-        if flags & FLAG_QR:
-            msg.is_response = True
+        read_name = reader.read_name
+        read_struct = reader.read_struct
+        msg_id, flags, qdcount, ancount, nscount, arcount = read_struct(_HEADER)
+        msg = cls(msg_id)
+        msg.flags = flags & (0x7FB0 | FLAG_QR)
         msg.opcode = (flags >> 11) & 0xF
         msg.rcode = flags & 0xF
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
         for _ in range(qdcount):
-            name = reader.read_name()
-            rdtype = reader.read_u16()
-            rdclass = reader.read_u16()
+            name = read_name()
+            rdtype, rdclass = read_struct(_QUESTION_FIXED)
             msg.questions.append(Question(name, rdtype, rdclass))
         for count, section in ((ancount, msg.answers), (nscount, msg.authority), (arcount, msg.additional)):
+            if not count:
+                continue
+            rrsets = {}
             for _ in range(count):
-                name = reader.read_name()
-                rdtype = reader.read_u16()
-                rdclass = reader.read_u16()
-                ttl = reader.read_u32()
-                rdlength = reader.read_u16()
+                name = read_name()
+                rdtype, rdclass, ttl, rdlength = read_struct(_RR_FIXED)
                 if rdtype == rdtypes.OPT:
                     reader.read_bytes(rdlength)
                     msg.use_edns = True
@@ -247,9 +249,10 @@ class Message:
                     msg.dnssec_ok = bool(ttl & 0x8000)
                     continue
                 rdata = rdata_from_wire(rdtype, reader, rdlength)
-                rrset = msg.find_rrset(section, name, rdtype)
-                if rrset is None or rrset.ttl != ttl:
-                    rrset = RRset(name, rdtype, ttl, rdclass=rdclass)
+                key = (name, rdtype, rdclass, ttl)
+                rrset = rrsets.get(key)
+                if rrset is None:
+                    rrset = rrsets[key] = RRset(name, rdtype, ttl, rdclass=rdclass)
                     section.append(rrset)
                 rrset.add(rdata)
         return msg

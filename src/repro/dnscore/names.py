@@ -6,6 +6,17 @@ section 3.1, including compression pointers) codecs.
 
 Names are case-preserving but compare and hash case-insensitively, which
 matches resolver behaviour (RFC 4343).
+
+A :class:`Name` caches three derived values on first use: the
+lower-cased label tuple (``_key_cache``, the comparison key that the wire
+writer also slices for its compression table), its ``hash`` and the
+presentation text (``_text``). None of them crosses a pickle boundary.
+
+Every public constructor validates the 63/255-octet limits. The one
+unchecked constructor, :meth:`Name._unchecked`, is for code inside
+``repro.dnscore`` whose labels are already known to be valid: a slice of
+a valid name, or labels the wire reader has bounds-checked itself. The
+``NAME01`` codelint rule keeps it inside this package.
 """
 
 from __future__ import annotations
@@ -60,14 +71,28 @@ class Name:
     only as intermediate values for :meth:`relativize` output.
     """
 
-    __slots__ = ("_labels", "_hash", "_key_cache")
+    __slots__ = ("_labels", "_hash", "_key_cache", "_text")
 
     def __init__(self, labels: Iterable[bytes]):
-        labels = tuple(bytes(label) for label in labels)
+        labels = tuple(map(bytes, labels))
         _validate_labels(labels)
         self._labels = labels
         self._hash: Optional[int] = None
         self._key_cache: Optional[Tuple[bytes, ...]] = None
+        self._text: Optional[str] = None
+
+    @classmethod
+    def _unchecked(cls, labels: Tuple[bytes, ...], key: Optional[Tuple[bytes, ...]] = None) -> "Name":
+        """Build a name from a tuple of ``bytes`` labels without validating
+        it. Only for callers inside ``repro.dnscore`` that already hold
+        the 63/255-octet and no-empty-inner-label guarantees (``NAME01``);
+        *key*, when given, must be the lower-cased *labels*."""
+        name = cls.__new__(cls)
+        name._labels = labels
+        name._hash = None
+        name._key_cache = key
+        name._text = None
+        return name
 
     # -- constructors ----------------------------------------------------
 
@@ -129,7 +154,8 @@ class Name:
 
     @classmethod
     def root(cls) -> "Name":
-        return cls((b"",))
+        """The root name (the shared :data:`ROOT` instance)."""
+        return ROOT
 
     # -- basic protocol ---------------------------------------------------
 
@@ -149,11 +175,13 @@ class Name:
     def _key(self) -> Tuple[bytes, ...]:
         key = self._key_cache
         if key is None:
-            key = tuple(label.lower() for label in self._labels)
+            key = tuple(map(bytes.lower, self._labels))
             self._key_cache = key
         return key
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Name):
             return NotImplemented
         return self._key() == other._key()
@@ -173,12 +201,13 @@ class Name:
         return self._hash
 
     def __getstate__(self):
-        # Only the labels cross a pickle boundary, never the caches: the
-        # cached hash bakes in this interpreter's str-hash seed, and a
-        # Name unpickled into another interpreter (world snapshots are
-        # loaded by resumed collections — see simnet/snapshot.py) would
-        # keep answering with the stale value, silently missing in every
-        # dict keyed by freshly constructed Names. Wrapped in a 1-tuple
+        # Only the labels cross a pickle boundary, never the caches (hash,
+        # key, text): the cached hash bakes in this interpreter's str-hash
+        # seed, and a Name unpickled into another interpreter (world
+        # snapshots are loaded by resumed collections — see
+        # simnet/snapshot.py) would keep answering with the stale value,
+        # silently missing in every dict keyed by freshly constructed
+        # Names. Wrapped in a 1-tuple
         # so the state is truthy even for an empty relative name (pickle
         # skips __setstate__ entirely on a falsy state).
         return (self._labels,)
@@ -187,6 +216,7 @@ class Name:
         (self._labels,) = state  # validated when first constructed
         self._hash = None
         self._key_cache = None
+        self._text = None
 
     def __repr__(self) -> str:
         return f"Name({self.to_text()!r})"
@@ -197,26 +227,26 @@ class Name:
     # -- text -------------------------------------------------------------
 
     def to_text(self, omit_final_dot: bool = False) -> str:
-        if self._labels == (b"",):
-            return "."
-        parts = []
-        for label in self._labels:
-            if label == b"":
-                continue
-            chunk = []
-            for byte in label:
-                ch = chr(byte)
-                if ch in ".\\":
-                    chunk.append("\\" + ch)
-                elif 0x21 <= byte <= 0x7E:
-                    chunk.append(ch)
-                else:
-                    chunk.append("\\%03d" % byte)
-            parts.append("".join(chunk))
-        text = ".".join(parts)
-        if self.is_absolute() and not omit_final_dot:
-            text += "."
+        text = self._text
+        if text is None:
+            text = self._text = self._render_text()
+        if omit_final_dot and len(text) > 1 and self.is_absolute():
+            return text[:-1]
         return text
+
+    def _render_text(self) -> str:
+        labels = self._labels
+        if labels == (b"",):
+            return "."
+        absolute = self.is_absolute()
+        if absolute:
+            labels = labels[:-1]
+        raw = b".".join(labels)
+        if len(raw.translate(None, _PLAIN_OCTETS)) == len(labels) - 1:
+            text = raw.decode("ascii")  # only the separating dots are left
+        else:
+            text = ".".join("".join(_ESCAPED[byte] for byte in label) for label in labels)
+        return text + "." if absolute else text
 
     # -- structure --------------------------------------------------------
 
@@ -227,7 +257,8 @@ class Name:
         """
         if self._labels == (b"",):
             raise NameError_("the root name has no parent")
-        return Name(self._labels[1:])
+        key = self._key_cache
+        return Name._unchecked(self._labels[1:], None if key is None else key[1:])
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if *self* is equal to or underneath *other*."""
@@ -258,7 +289,15 @@ class Name:
 
 _FROM_TEXT_CACHE: dict = {}
 
-ROOT = Name.root()
+# Octets a label may hold unescaped in presentation format, and the
+# presentation form of every octet.
+_PLAIN_OCTETS = bytes(b for b in range(0x21, 0x7F) if b not in b".\\")
+_ESCAPED = tuple(
+    "\\" + chr(b) if b in b".\\" else chr(b) if 0x21 <= b <= 0x7E else "\\%03d" % b
+    for b in range(256)
+)
+
+ROOT = Name((b"",))
 
 
 def www_of(name: Name) -> Name:

@@ -5,6 +5,14 @@ Each class implements:
 * ``to_wire(writer)`` / ``from_wire(reader, rdlength)`` — RFC 1035 wire form
   (names inside RRSIG/SVCB rdata are written uncompressed per RFC 3597/4034);
 * ``to_text()`` / ``from_text(text)`` — zone-file presentation form.
+
+:meth:`Rdata.wire_bytes` caches the uncompressed wire form. For the types
+whose wire form never uses the compression table (A, AAAA, TXT, DS,
+DNSKEY, RRSIG, SVCB/HTTPS and opaque rdata) it is also what
+:meth:`Rdata.write_to` puts into a message, so any in-place mutation of
+an rdata must call :meth:`Rdata.invalidate_wire_cache` or later messages
+carry the old bytes. :func:`rdata_from_wire` fills the cache with the
+octets it decoded whenever those are already the canonical form.
 """
 
 from __future__ import annotations
@@ -16,7 +24,13 @@ from typing import Dict, List, Tuple, Type
 from ..svcb.params import SvcParamError, SvcParams
 from . import rdtypes
 from .names import Name
-from .wire import WireReader, WireWriter
+from .wire import WireError, WireReader, WireWriter
+
+_KEY_FIXED = struct.Struct("!HBB")  # DNSKEY flags/protocol/algorithm, DS key tag/algorithm/digest type
+_SOA_TIMERS = struct.Struct("!5I")
+_RRSIG_FIXED = struct.Struct("!HBBIIIH")
+_RRSIG_SIGNER_OFFSET = _RRSIG_FIXED.size
+_SVCB_TARGET_OFFSET = 2  # after SvcPriority
 
 
 class RdataError(ValueError):
@@ -30,6 +44,12 @@ class Rdata:
 
     def to_wire(self, writer: WireWriter) -> None:
         raise NotImplementedError
+
+    def write_to(self, writer: WireWriter) -> None:
+        """Write this rdata into a message being encoded. The bytes equal
+        ``to_wire(writer)``'s; types that never compress a name override
+        this to copy :meth:`wire_bytes`."""
+        self.to_wire(writer)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "Rdata":
@@ -47,7 +67,8 @@ class Rdata:
 
         Rdata objects are treated as immutable once constructed; the rare
         in-place mutators (e.g. :meth:`Zone.corrupt_signature`) must call
-        :meth:`invalidate_wire_cache`.
+        :meth:`invalidate_wire_cache`, because :meth:`write_to` copies
+        these bytes into messages.
         """
         cached = getattr(self, "_wire_cache", None)
         if cached is None:
@@ -72,20 +93,32 @@ class Rdata:
         return f"{type(self).__name__}<{self.to_text()}>"
 
 
-class ARdata(Rdata):
+class _NameFreeRdata(Rdata):
+    """Base for types whose wire form holds no domain name, so a message
+    carries exactly their cached :meth:`wire_bytes`."""
+
+    def write_to(self, writer: WireWriter) -> None:
+        writer.write_bytes(self.wire_bytes())
+
+
+class ARdata(_NameFreeRdata):
     rdtype = rdtypes.A
 
     def __init__(self, address: str):
         self.address = str(ipaddress.IPv4Address(address))
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
+        # self.address is already in canonical dotted-quad form.
+        writer.write_bytes(bytes(map(int, self.address.split("."))))
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "ARdata":
         if rdlength != 4:
             raise RdataError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(reader.read_bytes(4))))
+        packed = reader.read_bytes(4)
+        rdata = cls.__new__(cls)
+        rdata.address = "%d.%d.%d.%d" % tuple(packed)
+        return rdata
 
     def to_text(self) -> str:
         return self.address
@@ -95,7 +128,7 @@ class ARdata(Rdata):
         return cls(text.strip())
 
 
-class AAAARdata(Rdata):
+class AAAARdata(_NameFreeRdata):
     rdtype = rdtypes.AAAA
 
     def __init__(self, address: str):
@@ -108,7 +141,10 @@ class AAAARdata(Rdata):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAARdata":
         if rdlength != 16:
             raise RdataError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(reader.read_bytes(16))))
+        packed = reader.read_bytes(16)
+        rdata = cls.__new__(cls)
+        rdata.address = str(ipaddress.IPv6Address(packed))
+        return rdata
 
     def to_text(self) -> str:
         return self.address
@@ -173,24 +209,16 @@ class SOARdata(Rdata):
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        writer.write_u32(self.serial)
-        writer.write_u32(self.refresh)
-        writer.write_u32(self.retry)
-        writer.write_u32(self.expire)
-        writer.write_u32(self.minimum)
+        writer.write_bytes(_SOA_TIMERS.pack(
+            self.serial & 0xFFFFFFFF, self.refresh & 0xFFFFFFFF, self.retry & 0xFFFFFFFF,
+            self.expire & 0xFFFFFFFF, self.minimum & 0xFFFFFFFF,
+        ))
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "SOARdata":
         mname = reader.read_name()
         rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (
-            reader.read_u32(),
-            reader.read_u32(),
-            reader.read_u32(),
-            reader.read_u32(),
-            reader.read_u32(),
-        )
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls(mname, rname, *reader.read_struct(_SOA_TIMERS))
 
     def to_text(self) -> str:
         return (
@@ -214,7 +242,7 @@ class SOARdata(Rdata):
         )
 
 
-class TXTRdata(Rdata):
+class TXTRdata(_NameFreeRdata):
     rdtype = rdtypes.TXT
 
     def __init__(self, strings: Tuple[bytes, ...]):
@@ -238,11 +266,15 @@ class TXTRdata(Rdata):
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "TXTRdata":
-        end = reader.position + rdlength
+        data = reader.read_bytes(rdlength)
         strings = []
-        while reader.position < end:
-            length = reader.read_u8()
-            strings.append(reader.read_bytes(length))
+        pos = 0
+        while pos < rdlength:
+            end = pos + 1 + data[pos]
+            if end > rdlength:
+                raise RdataError("TXT string runs past its rdata")
+            strings.append(data[pos + 1 : end])
+            pos = end
         return cls(tuple(strings))
 
     def to_text(self) -> str:
@@ -259,7 +291,7 @@ class TXTRdata(Rdata):
         return cls(tuple(item.encode() for item in strings))
 
 
-class DNSKEYRdata(Rdata):
+class DNSKEYRdata(_NameFreeRdata):
     """DNSKEY (RFC 4034 section 2). The public key blob is opaque here;
     crypto semantics live in :mod:`repro.dnssec`."""
 
@@ -287,20 +319,15 @@ class DNSKEYRdata(Rdata):
         return total & 0xFFFF
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_u16(self.flags)
-        writer.write_u8(self.protocol)
-        writer.write_u8(self.algorithm)
+        writer.write_bytes(_KEY_FIXED.pack(self.flags & 0xFFFF, self.protocol & 0xFF, self.algorithm & 0xFF))
         writer.write_bytes(self.public_key)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "DNSKEYRdata":
         if rdlength < 4:
             raise RdataError("DNSKEY rdata too short")
-        flags = reader.read_u16()
-        protocol = reader.read_u8()
-        algorithm = reader.read_u8()
-        public_key = reader.read_bytes(rdlength - 4)
-        return cls(flags, protocol, algorithm, public_key)
+        data = reader.read_bytes(rdlength)
+        return cls(*_KEY_FIXED.unpack_from(data), data[4:])
 
     def to_text(self) -> str:
         import base64
@@ -317,7 +344,7 @@ class DNSKEYRdata(Rdata):
         return cls(int(fields[0]), int(fields[1]), int(fields[2]), base64.b64decode("".join(fields[3:])))
 
 
-class DSRdata(Rdata):
+class DSRdata(_NameFreeRdata):
     rdtype = rdtypes.DS
 
     def __init__(self, key_tag: int, algorithm: int, digest_type: int, digest: bytes):
@@ -327,20 +354,15 @@ class DSRdata(Rdata):
         self.digest = bytes(digest)
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_u16(self.key_tag)
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.digest_type)
+        writer.write_bytes(_KEY_FIXED.pack(self.key_tag & 0xFFFF, self.algorithm & 0xFF, self.digest_type & 0xFF))
         writer.write_bytes(self.digest)
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "DSRdata":
         if rdlength < 4:
             raise RdataError("DS rdata too short")
-        key_tag = reader.read_u16()
-        algorithm = reader.read_u8()
-        digest_type = reader.read_u8()
-        digest = reader.read_bytes(rdlength - 4)
-        return cls(key_tag, algorithm, digest_type, digest)
+        data = reader.read_bytes(rdlength)
+        return cls(*_KEY_FIXED.unpack_from(data), data[4:])
 
     def to_text(self) -> str:
         return f"{self.key_tag} {self.algorithm} {self.digest_type} {self.digest.hex().upper()}"
@@ -379,33 +401,31 @@ class RRSIGRdata(Rdata):
         self.signature = bytes(signature)
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_u16(self.type_covered)
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.labels)
-        writer.write_u32(self.original_ttl)
-        writer.write_u32(self.expiration)
-        writer.write_u32(self.inception)
-        writer.write_u16(self.key_tag)
+        writer.write_bytes(_RRSIG_FIXED.pack(
+            self.type_covered & 0xFFFF, self.algorithm & 0xFF, self.labels & 0xFF,
+            self.original_ttl & 0xFFFFFFFF, self.expiration & 0xFFFFFFFF,
+            self.inception & 0xFFFFFFFF, self.key_tag & 0xFFFF,
+        ))
         # RFC 4034: signer name is never compressed.
         writer.write_name(self.signer, compress=False)
         writer.write_bytes(self.signature)
 
+    def write_to(self, writer: WireWriter) -> None:
+        # The uncompressed signer still seeds the compression table.
+        start = len(writer)
+        writer.write_bytes(self.wire_bytes())
+        writer.register_name(self.signer, start + _RRSIG_SIGNER_OFFSET)
+
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "RRSIGRdata":
         start = reader.position
-        type_covered = reader.read_u16()
-        algorithm = reader.read_u8()
-        labels = reader.read_u8()
-        original_ttl = reader.read_u32()
-        expiration = reader.read_u32()
-        inception = reader.read_u32()
-        key_tag = reader.read_u16()
+        fixed = reader.read_struct(_RRSIG_FIXED)
         signer = reader.read_name()
         consumed = reader.position - start
+        if consumed > rdlength:
+            raise RdataError("RRSIG signer name runs past the rdata")
         signature = reader.read_bytes(rdlength - consumed)
-        return cls(
-            type_covered, algorithm, labels, original_ttl, expiration, inception, key_tag, signer, signature
-        )
+        return cls(*fixed, signer, signature)
 
     def to_text(self) -> str:
         import base64
@@ -476,12 +496,20 @@ class SVCBBase(Rdata):
         writer.write_name(self.target, compress=False)
         writer.write_bytes(self.params.to_wire())
 
+    def write_to(self, writer: WireWriter) -> None:
+        # The uncompressed target still seeds the compression table.
+        start = len(writer)
+        writer.write_bytes(self.wire_bytes())
+        writer.register_name(self.target, start + _SVCB_TARGET_OFFSET)
+
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int):
         start = reader.position
         priority = reader.read_u16()
         target = reader.read_name()
         consumed = reader.position - start
+        if consumed > rdlength:
+            raise RdataError("SVCB target name runs past the rdata")
         try:
             params = SvcParams.from_wire(reader.read_bytes(rdlength - consumed))
         except SvcParamError as exc:
@@ -532,7 +560,12 @@ _RDATA_CLASSES: Dict[int, Type[Rdata]] = {
 }
 
 
-class GenericRdata(Rdata):
+# Types whose decoding normalises a field (SvcParams values), so their
+# octets on the wire need not be the canonical form wire_bytes() builds.
+_REENCODED = (SVCBRdata, HTTPSRdata)
+
+
+class GenericRdata(_NameFreeRdata):
     """RFC 3597 opaque rdata for unknown types."""
 
     def __init__(self, rdtype: int, data: bytes):
@@ -555,16 +588,26 @@ class GenericRdata(Rdata):
 
 
 def rdata_from_wire(rdtype: int, reader: WireReader, rdlength: int) -> Rdata:
+    start = reader.position
+    end = start + rdlength
+    if rdlength > reader.remaining():
+        raise WireError(f"rdlength {rdlength} runs past the end of the message")
     cls = _RDATA_CLASSES.get(rdtype)
     if cls is None:
-        return GenericRdata(rdtype, reader.read_bytes(rdlength))
-    end = reader.position + rdlength
-    rdata = cls.from_wire(reader, rdlength)
-    if reader.position != end:
-        raise RdataError(
-            f"{rdtypes.type_to_text(rdtype)} rdata length mismatch: "
-            f"consumed {reader.position - (end - rdlength)} of {rdlength}"
-        )
+        rdata = GenericRdata(rdtype, reader.read_bytes(rdlength))
+    else:
+        pointers = reader.pointers_followed
+        rdata = cls.from_wire(reader, rdlength)
+        if reader.position != end:
+            raise RdataError(
+                f"{rdtypes.type_to_text(rdtype)} rdata length mismatch: "
+                f"consumed {reader.position - start} of {rdlength}"
+            )
+        if reader.pointers_followed != pointers or cls in _REENCODED:
+            return rdata
+    # No name in it was compressed and every field decodes exactly, so the
+    # octets read are its canonical wire form.
+    rdata._wire_cache = reader.octets(start, end)
     return rdata
 
 

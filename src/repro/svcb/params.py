@@ -264,17 +264,24 @@ class Ipv4Hint(SvcParam):
     def __init__(self, addresses: Sequence[str]):
         if not addresses:
             raise SvcParamError("ipv4hint must not be empty")
-        self.addresses = tuple(str(ipaddress.IPv4Address(addr)) for addr in addresses)
+        parsed = [ipaddress.IPv4Address(addr) for addr in addresses]
+        self.addresses = tuple(map(str, parsed))
+        self._packed = b"".join(addr.packed for addr in parsed)
 
     def to_wire_value(self) -> bytes:
-        return b"".join(ipaddress.IPv4Address(addr).packed for addr in self.addresses)
+        return self._packed
 
     @classmethod
     def from_wire_value(cls, data: bytes) -> "Ipv4Hint":
         if len(data) % 4 or not data:
             raise SvcParamError("ipv4hint must be a non-empty multiple of 4 octets")
-        addrs = [str(ipaddress.IPv4Address(data[i : i + 4])) for i in range(0, len(data), 4)]
-        return cls(addrs)
+        # Straight from the octets: no parse back from the text form.
+        hint = cls.__new__(cls)
+        hint.addresses = tuple(
+            "%d.%d.%d.%d" % tuple(data[i : i + 4]) for i in range(0, len(data), 4)
+        )
+        hint._packed = data
+        return hint
 
     def value_to_text(self) -> str:
         return ",".join(self.addresses)
@@ -292,17 +299,23 @@ class Ipv6Hint(SvcParam):
     def __init__(self, addresses: Sequence[str]):
         if not addresses:
             raise SvcParamError("ipv6hint must not be empty")
-        self.addresses = tuple(str(ipaddress.IPv6Address(addr)) for addr in addresses)
+        parsed = [ipaddress.IPv6Address(addr) for addr in addresses]
+        self.addresses = tuple(map(str, parsed))
+        self._packed = b"".join(addr.packed for addr in parsed)
 
     def to_wire_value(self) -> bytes:
-        return b"".join(ipaddress.IPv6Address(addr).packed for addr in self.addresses)
+        return self._packed
 
     @classmethod
     def from_wire_value(cls, data: bytes) -> "Ipv6Hint":
         if len(data) % 16 or not data:
             raise SvcParamError("ipv6hint must be a non-empty multiple of 16 octets")
-        addrs = [str(ipaddress.IPv6Address(data[i : i + 16])) for i in range(0, len(data), 16)]
-        return cls(addrs)
+        hint = cls.__new__(cls)
+        hint.addresses = tuple(
+            str(ipaddress.IPv6Address(data[i : i + 16])) for i in range(0, len(data), 16)
+        )
+        hint._packed = data
+        return hint
 
     def value_to_text(self) -> str:
         return ",".join(self.addresses)

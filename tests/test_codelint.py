@@ -62,6 +62,7 @@ FIXTURE_RULES = {
     "gc": ("repro.scanner.fixture", {"GC01"}),
     "fstr": ("repro.manage.fixture", {"FSTR01"}),
     "inv": ("repro.simnet.fixture", {"INV01"}),
+    "name": ("repro.simnet.fixture", {"NAME01"}),
 }
 
 
@@ -117,6 +118,16 @@ class TestFixturePairs:
         # zones/dnscore (e.g. benchmarks, browser policy) is legal.
         findings = lint_fixture(
             "det", "bad_ambient_randomness.py", module="repro.browser.fixture"
+        )
+        assert findings == []
+
+    def test_name01_flags_every_reference(self):
+        findings = lint_fixture("name", "bad_unchecked_outside_dnscore.py")
+        assert len(findings) == 2
+
+    def test_name01_allows_dnscore(self):
+        findings = lint_fixture(
+            "name", "bad_unchecked_outside_dnscore.py", module="repro.dnscore.fixture"
         )
         assert findings == []
 
@@ -412,7 +423,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert codelint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET01", "HASH01", "ORD01", "TAG01", "GC01", "FSTR01"):
+        for code in ("DET01", "HASH01", "ORD01", "TAG01", "GC01", "FSTR01", "NAME01"):
             assert code in out
 
     def test_missing_path_is_usage_error(self):

@@ -5,8 +5,9 @@ import pytest
 from repro.dnscore import rdtypes
 from repro.dnscore.message import FLAG_AD, Message, Question
 from repro.dnscore.names import Name
+from repro.dnscore.rdata import GenericRdata
 from repro.dnscore.rrset import RRset
-from repro.dnscore.wire import WireError
+from repro.dnscore.wire import WireError, WireWriter
 
 
 def make_answer_message():
@@ -108,6 +109,22 @@ class TestWireRoundTrip:
         assert len(parsed.answers) == 1
         assert len(parsed.answers[0]) == 2
 
+    def test_rrsets_split_by_ttl_keep_their_structure(self):
+        # Regression: decoding grouped a record only with the first RRset
+        # of its (owner, type), so a TTL mismatch there started a new
+        # RRset per record and the two TTL-60 records came back apart.
+        msg = Message(1)
+        msg.is_response = True
+        msg.answers.append(RRset.from_text("a.com.", 300, "A", "1.1.1.1"))
+        msg.answers.append(RRset.from_text("a.com.", 60, "A", "2.2.2.2", "3.3.3.3"))
+        wire = msg.to_wire()
+        parsed = Message.from_wire(wire)
+        assert [(r.ttl, [rd.to_text() for rd in r]) for r in parsed.answers] == [
+            (300, ["1.1.1.1"]),
+            (60, ["2.2.2.2", "3.3.3.3"]),
+        ]
+        assert parsed.to_wire() == wire
+
     def test_compression_shrinks_message(self):
         msg = make_answer_message()
         wire = msg.to_wire()
@@ -119,6 +136,67 @@ class TestWireRoundTrip:
     def test_truncated_header(self):
         with pytest.raises(WireError):
             Message.from_wire(b"\x00\x01")
+
+
+def reference_to_wire(msg):
+    """Field-at-a-time encoding, every rdata through its own
+    ``to_wire(writer)``: the reference the struct-packed codec must match
+    byte for byte."""
+    writer = WireWriter()
+    sections = (msg.answers, msg.authority, msg.additional)
+    flags = (msg.flags & 0xFFB0) | ((msg.opcode & 0xF) << 11) | (msg.rcode & 0xF)
+    counts = [sum(len(rrset) for rrset in section) for section in sections]
+    counts[2] += msg.use_edns
+    for value in (msg.msg_id, flags, len(msg.questions), *counts):
+        writer.write_u16(value)
+    for question in msg.questions:
+        writer.write_name(question.name)
+        writer.write_u16(question.rdtype)
+        writer.write_u16(question.rdclass)
+    for section in sections:
+        for rrset in section:
+            for rdata in rrset:
+                writer.write_name(rrset.name)
+                writer.write_u16(rrset.rdtype)
+                writer.write_u16(rrset.rdclass)
+                writer.write_u32(rrset.ttl)
+                offset = writer.reserve_u16()
+                before = len(writer)
+                rdata.to_wire(writer)
+                writer.patch_u16(offset, len(writer) - before)
+    if msg.use_edns:
+        writer.write_name(Name.root())
+        for value in (rdtypes.OPT, msg.edns_payload_size):
+            writer.write_u16(value)
+        writer.write_u32(0x8000 if msg.dnssec_ok else 0)
+        writer.write_u16(0)
+    return writer.getvalue()
+
+
+class TestEncodingMatchesReference:
+    def test_every_rdata_type(self):
+        # Uncompressed RRSIG signers and SVCB/HTTPS targets come before the
+        # names that compress against them.
+        msg = Message(0xBEEF)
+        msg.is_response = True
+        msg.authenticated_data = True
+        msg.use_edns = msg.dnssec_ok = True
+        msg.questions.append(Question(Name.from_text("www.Example.com."), rdtypes.HTTPS))
+        msg.answers.append(RRset.from_text("www.example.com.", 300, "HTTPS", '1 cdn.example.net. alpn=h2,h3 ipv4hint=192.0.2.1 ipv6hint=2001:db8::1'))
+        msg.answers.append(RRset.from_text("www.example.com.", 300, "RRSIG", "HTTPS 13 3 300 2 1 7 sig.example.org. c2ln"))
+        msg.answers.append(RRset.from_text("www.example.com.", 300, "SVCB", "0 alias.svc.example.net."))
+        msg.answers.append(RRset.from_text("www.example.com.", 60, "CNAME", "x.svc.example.net."))
+        msg.authority.append(RRset.from_text("example.com.", 300, "NS", "ns1.sig.example.org.", "NS2.example.com."))
+        msg.authority.append(RRset.from_text("example.com.", 300, "SOA", "ns1.example.com. host.sig.example.org. 7 1 2 3 4"))
+        msg.authority.append(RRset.from_text("example.com.", 300, "DS", "7 13 2 ABCD"))
+        msg.additional.append(RRset.from_text("ns1.sig.example.org.", 300, "A", "192.0.2.53", "192.0.2.54"))
+        msg.additional.append(RRset.from_text("ns1.sig.example.org.", 300, "AAAA", "2001:db8::53"))
+        msg.additional.append(RRset.from_text("example.com.", 300, "TXT", '"v=1" "two"'))
+        msg.additional.append(RRset.from_text("example.com.", 300, "DNSKEY", "257 3 13 a2V5"))
+        msg.additional.append(RRset("example.com.", 99, 300, [GenericRdata(99, b"opaque")]))
+        wire = msg.to_wire()
+        assert wire == reference_to_wire(msg)
+        assert Message.from_wire(wire).to_wire() == wire
 
 
 class TestSectionHelpers:

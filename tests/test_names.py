@@ -79,10 +79,12 @@ class TestPickling:
         import pickle
 
         name = Name.from_text("Example.COM.")
-        hash(name)  # populate both caches
+        hash(name)  # populate the hash and key caches
+        name.to_text()  # and the text cache
         assert name._hash is not None and name._key_cache is not None
+        assert name._text == "Example.COM."
         clone = pickle.loads(pickle.dumps(name))
-        assert clone._hash is None and clone._key_cache is None
+        assert clone._hash is None and clone._key_cache is None and clone._text is None
         assert clone == name and hash(clone) == hash(name)
         assert clone.to_text() == name.to_text()  # case preserved
 
@@ -122,9 +124,63 @@ class TestTextRendering:
         assert Name.from_text("a.com.").to_text(omit_final_dot=True) == "a.com"
 
 
+def reference_to_text(name, omit_final_dot=False):
+    """Label-at-a-time presentation format, the reference for the cached
+    renderer."""
+    if name.labels == (b"",):
+        return "."
+    parts = []
+    for label in name.labels:
+        if label == b"":
+            continue
+        chunk = []
+        for byte in label:
+            ch = chr(byte)
+            if ch in ".\\":
+                chunk.append("\\" + ch)
+            elif 0x21 <= byte <= 0x7E:
+                chunk.append(ch)
+            else:
+                chunk.append("\\%03d" % byte)
+        parts.append("".join(chunk))
+    text = ".".join(parts)
+    if name.is_absolute() and not omit_final_dot:
+        text += "."
+    return text
+
+
+class TestTextMatchesReference:
+    def test_random_labels(self):
+        import random
+
+        rng = random.Random(7)
+        alphabet = [ord("a"), ord("Z"), ord("-"), ord("."), ord("\\"), 0x00, 0x20, 0x7F, 0xFF]
+        for _ in range(2000):
+            labels = [
+                bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, 6)))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            if rng.random() < 0.8:
+                labels.append(b"")
+            name = Name(labels)
+            for omit in (False, True, False):  # the last call reads the cache
+                assert name.to_text(omit) == reference_to_text(name, omit)
+
+
 class TestStructure:
     def test_parent(self):
         assert Name.from_text("www.a.com.").parent() == Name.from_text("a.com.")
+
+    def test_root_is_shared(self):
+        assert Name.root() is Name.root()
+
+    def test_parent_slices_the_cached_key(self):
+        name = Name.from_text("WWW.Example.COM.")
+        hash(name)  # populate the key cache
+        parent = name.parent()
+        assert parent._key_cache == (b"example", b"com", b"")
+        assert parent == Name.from_text("example.com.")
+        assert parent.to_text() == "Example.COM."
 
     def test_parent_of_root_raises(self):
         with pytest.raises(Exception):

@@ -1,9 +1,24 @@
 """Unit tests for the low-level wire reader/writer."""
 
+import struct
+
 import pytest
 
-from repro.dnscore.names import BadPointer, Name
+from repro.dnscore import rdtypes
+from repro.dnscore.message import Message
+from repro.dnscore.names import BadPointer, Name, NameError_
+from repro.dnscore.rdata import RdataError
 from repro.dnscore.wire import WireError, WireReader, WireWriter
+
+
+def labels_wire(*lengths: int) -> bytes:
+    """Uncompressed labels of the given lengths, without a terminator."""
+    return b"".join(bytes([n]) + b"x" * n for n in lengths)
+
+
+def answer_message(record: bytes) -> bytes:
+    """A response header announcing one answer, then *record*."""
+    return struct.pack("!6H", 7, 0x8000, 0, 1, 0, 0) + record
 
 
 class TestWriter:
@@ -110,3 +125,45 @@ class TestReader:
         reader = WireReader(b"abc")
         with pytest.raises(WireError):
             reader.seek(10)
+
+
+class TestReaderLimits:
+    def test_name_of_255_octets_through_a_pointer(self):
+        # 129-octet name at 0; at 129, labels 63 + 61 and a pointer to
+        # it: 64 + 62 + 129 = 255 octets.
+        data = labels_wire(63, 63) + b"\x00" + labels_wire(63, 61) + b"\xc0\x00"
+        reader = WireReader(data)
+        reader.read_name()
+        assert len(reader.read_name().to_wire()) == 255
+        assert len(WireReader(data, offset=129).read_name().to_wire()) == 255
+
+    def test_name_over_255_octets_through_a_pointer(self):
+        data = labels_wire(63, 63) + b"\x00" + labels_wire(63, 62) + b"\xc0\x00"
+        reader = WireReader(data)
+        reader.read_name()
+        # Both with the first name already decoded and from a fresh reader.
+        with pytest.raises((WireError, NameError_)):
+            reader.read_name()
+        with pytest.raises((WireError, NameError_)):
+            WireReader(data, offset=129).read_name()
+
+    def test_pointer_to_an_earlier_name_returns_that_name(self):
+        data = labels_wire(3, 3) + b"\x00" + b"\xc0\x00"
+        reader = WireReader(data)
+        first = reader.read_name()
+        assert reader.read_name() is first
+        assert reader.position == len(data)
+
+    def test_rr_fixed_fields_truncated_mid_record(self):
+        with pytest.raises(WireError):
+            Message.from_wire(answer_message(b"\x00" + struct.pack("!HHI", rdtypes.A, 1, 300)))
+
+    def test_rdlength_past_end_of_message(self):
+        record = b"\x00" + struct.pack("!HHIH", rdtypes.A, 1, 300, 4) + b"\x01\x02"
+        with pytest.raises(WireError):
+            Message.from_wire(answer_message(record))
+
+    def test_a_rdata_must_be_four_octets(self):
+        record = b"\x00" + struct.pack("!HHIH", rdtypes.A, 1, 300, 5) + b"\x01\x02\x03\x04\x05"
+        with pytest.raises(RdataError):
+            Message.from_wire(answer_message(record))
