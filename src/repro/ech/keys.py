@@ -40,6 +40,7 @@ class ECHKeyManager:
         self.rotation_hours = rotation_hours
         self.retain_generations = retain_generations
         self._keypairs: Dict[int, HpkeKeyPair] = {}
+        self._wires: Dict[int, bytes] = {}  # published_wire, per generation
 
     # -- generations ------------------------------------------------------
 
@@ -72,7 +73,14 @@ class ECHKeyManager:
         return ECHConfigList([self.config_for_generation(self.generation_for_hour(hour_index))])
 
     def published_wire(self, hour_index: int) -> bytes:
-        return self.published_config_list(hour_index).to_wire()
+        """``published_config_list(hour_index).to_wire()``, memoized per
+        key generation (called on every zone build)."""
+        generation = self.generation_for_hour(hour_index)
+        wire = self._wires.get(generation)
+        if wire is None:
+            wire = ECHConfigList([self.config_for_generation(generation)]).to_wire()
+            self._wires[generation] = wire
+        return wire
 
     def active_keypairs(self, hour_index: int) -> List[HpkeKeyPair]:
         """Keys the server will accept at *hour_index*: the current

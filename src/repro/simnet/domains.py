@@ -10,7 +10,7 @@ agree without shared mutable state.
 from __future__ import annotations
 
 import datetime
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.names import Name
@@ -258,7 +258,9 @@ def build_https_rdatas(
     ech_wire: Optional[bytes],
     overlay: Optional[object] = None,
 ) -> List[HTTPSRdata]:
-    """The HTTPS RRset contents for the apex (or www) on *date*.
+    """The HTTPS RRset contents for the apex (or www) on *date* — the
+    record the domain publishes, or would publish if HTTPS were
+    configured that day.
 
     *ech_wire* is the ECHConfigList published by the shared client-facing
     server at this instant; pass None to omit the ech parameter.
@@ -267,19 +269,30 @@ def build_https_rdatas(
     carries injected-fault mutations; ``hint_v4``/``hint_v6`` replace
     the synthesized IP hints with stale addresses when set.
     """
+    inputs = _zone_inputs(profile, config, date, ech_wire, assume_https=True)
+    return _https_rdatas(profile, config, inputs, is_www, overlay)
+
+
+def _https_rdatas(
+    profile: DomainProfile,
+    config: SimConfig,
+    inputs: _ZoneInputs,
+    is_www: bool,
+    overlay: Optional[object],
+) -> List[HTTPSRdata]:
     seed = config.seed
-    a_v4, a_v6, hint_v4, hint_v6 = serving_addresses(profile, config, date)
+    a_v4, a_v6, hint_v4, hint_v6 = inputs.addresses
     if overlay is not None and overlay.hint_v4 is not None:
         hint_v4, hint_v6 = overlay.hint_v4, overlay.hint_v6
-    include_ech = ech_wire is not None and ech_enabled(profile, config, date, is_www)
+    ech_wire = inputs.ech_wire if (inputs.ech_www if is_www else inputs.ech_apex) else None
 
     # Cloudflare default config: the well-known proxied record.
     if profile.is_cloudflare and not profile.custom_config:
-        params: List = [Alpn(_cf_alpn(profile, config, date))]
+        params: List = [Alpn(inputs.cf_alpn)]
         params.append(Ipv4Hint([hint_v4]))
         if profile.ipv6_hints:
             params.append(Ipv6Hint([hint_v6]))
-        if include_ech:
+        if ech_wire is not None:
             params.append(Ech(ech_wire))
         return [HTTPSRdata(1, ROOT_NAME, SvcParams(params))]
 
@@ -313,7 +326,7 @@ def build_https_rdatas(
             params.append(Ipv4Hint([hint_v4]))
             if profile.ipv6_hints:
                 params.append(Ipv6Hint([hint_v6]))
-        if include_ech and unit_float(seed, "cf-custom-ech", profile.index) < 0.3:
+        if ech_wire is not None and unit_float(seed, "cf-custom-ech", profile.index) < 0.3:
             params.append(Ech(ech_wire))
         if roll < 0.002:
             return [HTTPSRdata(0, Name.from_text(f"cdn-{profile.index % 97}.cf-endpoints.net."))]
@@ -350,7 +363,7 @@ def build_https_rdatas(
         if unit_float(seed, "noncf-hints", profile.index) < 0.30:
             params.append(Ipv4Hint([hint_v4]))
             params.append(Ipv6Hint([hint_v6]))
-        if ech_wire is not None and include_ech:
+        if ech_wire is not None:
             params.append(Ech(ech_wire))
         return [HTTPSRdata(1, ROOT_NAME, SvcParams(params))]
     # SHAPE_SERVICE_SELF default for non-CF.
@@ -360,7 +373,7 @@ def build_https_rdatas(
         if unit_float(seed, "noncf-h3", profile.index) < 0.40:
             protocols.append(ALPN_H3)
         params.append(Alpn(protocols))
-    if ech_wire is not None and include_ech:
+    if ech_wire is not None:
         params.append(Ech(ech_wire))
     return [HTTPSRdata(1, ROOT_NAME, SvcParams(params))]
 
@@ -369,28 +382,82 @@ def build_https_rdatas(
 # Zone synthesis
 # ---------------------------------------------------------------------------
 
+class _ZoneInputs(NamedTuple):
+    """Every date-dependent value :func:`build_zone` reads, except the SOA
+    serial and the RRSIG inception time (see :func:`_zone_inputs`)."""
+
+    provider_keys: Tuple[str, ...]
+    addresses: Tuple[str, str, str, str]  # (a_v4, a_v6, hint_v4, hint_v6)
+    has_https: bool
+    cf_alpn: Optional[Tuple[str, ...]]  # set only for a Cloudflare default record
+    ech_apex: bool  # the apex HTTPS record carries the ech SvcParam
+    ech_www: bool  # the www HTTPS record carries the ech SvcParam
+    dnssec: bool
+    ech_wire: Optional[bytes]  # set only when some record carries it
+
+
+def _zone_inputs(
+    profile: DomainProfile,
+    config: SimConfig,
+    date: datetime.date,
+    ech_wire: Optional[bytes],
+    assume_https: bool = False,
+) -> _ZoneInputs:
+    """The date-dependent inputs of the domain's zone on *date*.
+
+    :func:`build_zone` builds from exactly these values and
+    :func:`zone_body_fingerprint` returns them, so the two cannot drift
+    apart. A value no record will carry is normalised away (the ALPN of
+    a domain without a Cloudflare default record, ECH flags of owners
+    without an HTTPS record, ECH bytes nobody publishes) so that a
+    change in it does not change the fingerprint. *assume_https* treats
+    HTTPS as configured whatever the date (:func:`build_https_rdatas`).
+    """
+    has_https = assume_https or https_configured(profile, config, date)
+    cf_alpn = None
+    ech_apex = ech_www = False
+    if has_https:
+        if profile.is_cloudflare and not profile.custom_config:
+            cf_alpn = _cf_alpn(profile, config, date)
+        if ech_wire is not None:
+            ech_apex = not profile.www_only and ech_enabled(profile, config, date, is_www=False)
+            ech_www = profile.www_has_record and ech_enabled(profile, config, date, is_www=True)
+    return _ZoneInputs(
+        tuple(current_provider_keys(profile, config, date)),
+        serving_addresses(profile, config, date),
+        has_https,
+        cf_alpn,
+        ech_apex,
+        ech_www,
+        dnssec_active(profile, config, date),
+        ech_wire if (ech_apex or ech_www) else None,
+    )
+
+
 def build_zone(
     profile: DomainProfile,
     config: SimConfig,
     date: datetime.date,
     ech_wire: Optional[bytes],
-    hour: float = 0.0,
     overlay: Optional[object] = None,
 ) -> Zone:
-    """The domain's full zone as served on *date* (+*hour* for ECH scans).
+    """The domain's full zone as served on *date*.
+
+    *ech_wire* is the ECHConfigList the shared client-facing server
+    publishes at the scan instant; pass None to omit the ech parameter.
 
     *overlay* (duck-typed :class:`~repro.simnet.faults.ZoneOverlay`)
     applies injected-fault mutations: stale IP hints in the HTTPS RRset
     and/or signing with an already-expired RRSIG validity window.
     """
+    inputs = _zone_inputs(profile, config, date, ech_wire)
     apex = profile.apex
     www = profile.www
     zone = Zone(apex, allow_apex_cname=profile.www_only, default_ttl=config.default_ttl)
     zone.ensure_soa(serial=timeline.day_index(date) + 1)
 
-    provider_keys = current_provider_keys(profile, config, date)
     ns_names: List[Name] = []
-    for key in provider_keys:
+    for key in inputs.provider_keys:
         provider = PROVIDERS[key]
         if key == "selfhosted":
             ns_names.extend([apex.prepend("ns1"), apex.prepend("ns2")])
@@ -399,32 +466,31 @@ def build_zone(
     if ns_names:
         zone.add_rrset(RRset(apex, rdtypes.NS, config.default_ttl, [NSRdata(n) for n in ns_names]))
 
-    a_v4, a_v6, _hint4, _hint6 = serving_addresses(profile, config, date)
-    has_https = https_configured(profile, config, date)
-
+    # The apex and www share one (immutable) A and AAAA rdata each.
+    a_rdata, aaaa_rdata = ARdata(inputs.addresses[0]), AAAARdata(inputs.addresses[1])
     if profile.www_only and profile.adopter:
         # Misconfigured apex CNAME → www; HTTPS lives on the www name.
         zone.add_rrset(RRset(apex, rdtypes.CNAME, config.default_ttl, [CNAMERdata(www)]))
     else:
-        zone.add_rrset(RRset(apex, rdtypes.A, config.default_ttl, [ARdata(a_v4)]))
-        zone.add_rrset(RRset(apex, rdtypes.AAAA, config.default_ttl, [AAAARdata(a_v6)]))
-        if has_https and not profile.www_only:
-            rdatas = build_https_rdatas(profile, config, date, False, ech_wire, overlay)
+        zone.add_rrset(RRset(apex, rdtypes.A, config.default_ttl, [a_rdata]))
+        zone.add_rrset(RRset(apex, rdtypes.AAAA, config.default_ttl, [aaaa_rdata]))
+        if inputs.has_https and not profile.www_only:
+            rdatas = _https_rdatas(profile, config, inputs, False, overlay)
             zone.add_rrset(RRset(apex, rdtypes.HTTPS, config.default_ttl, rdatas))
 
     # www branch.
-    zone.add_rrset(RRset(www, rdtypes.A, config.default_ttl, [ARdata(a_v4)]))
-    zone.add_rrset(RRset(www, rdtypes.AAAA, config.default_ttl, [AAAARdata(a_v6)]))
-    if has_https and profile.www_has_record:
-        rdatas = build_https_rdatas(profile, config, date, True, ech_wire, overlay)
+    zone.add_rrset(RRset(www, rdtypes.A, config.default_ttl, [a_rdata]))
+    zone.add_rrset(RRset(www, rdtypes.AAAA, config.default_ttl, [aaaa_rdata]))
+    if inputs.has_https and profile.www_has_record:
+        rdatas = _https_rdatas(profile, config, inputs, True, overlay)
         zone.add_rrset(RRset(www, rdtypes.HTTPS, config.default_ttl, rdatas))
 
     if profile.provider_key == "selfhosted":
-        ns_ip = ipspace.origin_v4(config.seed, profile.name, generation=7)
+        ns_ip = ipspace.origin_v4(config.seed, profile.name, 7)
         zone.add_rrset(RRset(apex.prepend("ns1"), rdtypes.A, config.default_ttl, [ARdata(ns_ip)]))
         zone.add_rrset(RRset(apex.prepend("ns2"), rdtypes.A, config.default_ttl, [ARdata(ns_ip)]))
 
-    if dnssec_active(profile, config, date):
+    if inputs.dnssec:
         inception = timeline.epoch_seconds(date) - 3600
         if overlay is not None and overlay.expired_rrsig:
             # Injected DNSSEC breakage: the validity window closed an
@@ -449,30 +515,21 @@ def zone_body_fingerprint(
     date: datetime.date,
     ech_wire: Optional[bytes],
 ) -> tuple:
-    """Every date-dependent input of :func:`build_zone` *except* the SOA
-    serial and the RRSIG inception time.
+    """The exact date-dependent inputs :func:`build_zone` builds from:
+    everything except the SOA serial and the RRSIG inception time.
 
     Two dates with equal fingerprints produce zones whose bodies differ
     only in SOA serial and signature timestamps, so the world's tier-2
     zone-body reuse (:meth:`~repro.simnet.world.World.zone_of`) can roll
-    the serial and re-sign instead of rebuilding from scratch. Static
-    profile attributes (shapes, cohorts, seeds) need no entry: the
-    fingerprint only ever compares one profile against itself. The ECH
-    wire bytes join the fingerprint only when either the apex or the www
-    record would actually carry them — an hourly key rotation must not
-    invalidate a zone that never published ECH.
+    the serial and re-sign instead of rebuilding from scratch. The
+    fingerprint must stay *sound* (equal fingerprints, equal bodies);
+    sharing :func:`_zone_inputs` with :func:`build_zone` is what keeps
+    it so. It is also close to *exact*: values no record carries (the
+    Cloudflare ALPN list of a zone without a Cloudflare default record,
+    ECH bytes of a zone that publishes none) are left out, so e.g. an
+    hourly key rotation or the h3-29 retirement does not invalidate a
+    zone whose records ignore it.
+    Static profile attributes (shapes, cohorts, seeds) need no entry:
+    the fingerprint only ever compares one profile against itself.
     """
-    ech_apex = ech_enabled(profile, config, date, is_www=False)
-    ech_www = ech_enabled(profile, config, date, is_www=True)
-    return (
-        tuple(current_provider_keys(profile, config, date)),
-        serving_addresses(profile, config, date),
-        https_configured(profile, config, date),
-        proxied_active(profile, config, date),
-        ech_apex,
-        ech_www,
-        date < timeline.H3_29_RETIREMENT,
-        date >= timeline.GOOGLE_QUIC_APPEARANCE,
-        dnssec_active(profile, config, date),
-        ech_wire if (ech_apex or ech_www) else None,
-    )
+    return _zone_inputs(profile, config, date, ech_wire)

@@ -304,8 +304,8 @@ def stale_hint_addresses(
             ipspace.cloudflare_anycast_v6(seed, profile.name, _STALE_ANYCAST_GENERATION),
         )
     return (
-        ipspace.origin_v4(seed, profile.name, generation=_STALE_ORIGIN_GENERATION),
-        ipspace.origin_v6(seed, profile.name, generation=_STALE_ORIGIN_GENERATION),
+        ipspace.origin_v4(seed, profile.name, _STALE_ORIGIN_GENERATION),
+        ipspace.origin_v6(seed, profile.name, _STALE_ORIGIN_GENERATION),
     )
 
 
@@ -332,7 +332,7 @@ def spec_affects(
     if spec.ip is not None:
         for key in keys:
             if key == "selfhosted":
-                ns_ip = ipspace.origin_v4(config.seed, profile.name, generation=7)
+                ns_ip = ipspace.origin_v4(config.seed, profile.name, 7)
                 if spec.ip == ns_ip:
                     return True
             elif PROVIDERS[key].server_ip == spec.ip:

@@ -14,11 +14,12 @@ all follow the clock.
 :class:`~repro.resolver.authoritative.AnswerCache` (tier 1: rendered
 answers; tier 3: wire bytes — see :mod:`repro.resolver.authoritative`)
 and the tier-2 zone-body store (:meth:`World.zone_of`): when a domain's
-:func:`~repro.simnet.domains.zone_body_fingerprint` is unchanged since
-the zone was last built, the built body is reused and only the SOA
-serial is rolled (plus a re-sign on date change) instead of rebuilding
-from scratch. All tiers arm together via :meth:`World.set_answer_cache`
-and default off, so a bare ``World()`` behaves exactly as before.
+:func:`~repro.simnet.domains.zone_body_fingerprint` — the exact
+date-dependent inputs of its zone — is unchanged since the zone was
+last built, the built body is reused and only the SOA serial is rolled
+(plus a re-sign on date change) instead of rebuilding from scratch. All
+tiers arm together via :meth:`World.set_answer_cache` and default off,
+so a bare ``World()`` behaves exactly as before.
 Invalidation is paired with the per-day zone cache: every site that
 clears ``_zone_cache`` (day/ECH-generation rollover in ``set_time``,
 ``install_faults``/``clear_faults``, ``reset``) also invalidates the
@@ -408,7 +409,7 @@ class World:
             self._infra_provider[apex] = provider
         for profile in self.profiles:
             if profile.provider_key == "selfhosted":
-                ns_ip = ipspace.origin_v4(self.config.seed, profile.name, generation=7)
+                ns_ip = ipspace.origin_v4(self.config.seed, profile.name, 7)
                 self._glue[profile.apex.prepend("ns1")] = ns_ip
                 self._glue[profile.apex.prepend("ns2")] = ns_ip
 
@@ -490,7 +491,7 @@ class World:
                     f"selfhosted:{profile.name}", answer_cache=self.answer_cache
                 )
                 server.tree = _ProviderTree(self, PROVIDERS["selfhosted"])
-                ns_ip = ipspace.origin_v4(self.config.seed, profile.name, generation=7)
+                ns_ip = ipspace.origin_v4(self.config.seed, profile.name, 7)
                 self.network.register_dns(ns_ip, server)
 
         self.validator_source = _GodsEyeSource(self)
@@ -662,9 +663,13 @@ class World:
         domain's :func:`~repro.simnet.domains.zone_body_fingerprint` is
         unchanged since the zone was last built, the stored body is
         advanced to today (SOA serial roll + re-sign on date change;
-        nothing at all within the same day) instead of rebuilding.
-        Faulted builds (a live zone overlay) are never stored or reused
-        — their content is not a pure function of the fingerprint."""
+        nothing at all within the same day) instead of rebuilding. The
+        fingerprint holds exactly the values the build reads, so a date
+        that changes none of them (e.g. an ALPN date boundary for a zone
+        without a Cloudflare default record, a key rotation for a zone
+        publishing no ECH) reuses the body. Faulted builds (a live zone
+        overlay) are never stored or reused — their content is not a
+        pure function of the fingerprint."""
         zone = self._zone_cache.get(profile.index)
         if zone is None:
             ech_wire = self.ech_manager.published_wire(self.absolute_hour())
@@ -692,8 +697,7 @@ class World:
                     self._zone_cache[profile.index] = zone
                     return zone
             zone = domains.build_zone(
-                profile, self.config, self.current_date, ech_wire, self.current_hour,
-                overlay=overlay,
+                profile, self.config, self.current_date, ech_wire, overlay=overlay
             )
             self.zone_builds += 1
             if self._infra_provider.get(profile.apex) is not None:

@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.dnscore import rdtypes
 from repro.resolver.authoritative import AnswerCache
 from repro.scanner import (
     CollectionInterrupted,
@@ -228,6 +229,66 @@ class TestZoneBodyReuse:
         rebuilt = fresh.zone_of(profile)
         assert self.zone_key(reused) == self.zone_key(rebuilt)
         assert reused.soa[0].serial == rebuilt.soa[0].serial
+
+    def body_key(self, zone):
+        """zone_key without the records a date change always rewrites."""
+        return [k for k in self.zone_key(zone) if k[1] not in (rdtypes.SOA, rdtypes.DNSKEY)]
+
+    @pytest.mark.parametrize(
+        "boundary",
+        [timeline.H3_29_RETIREMENT, timeline.GOOGLE_QUIC_APPEARANCE],
+        ids=["h3-29-retirement", "google-quic-appearance"],
+    )
+    def test_reuse_across_alpn_date_boundary(self, boundary):
+        """A Cloudflare default-config adopter whose zone does not change
+        at a date boundary of the ALPN list (no HTTPS record yet, or an
+        ALPN list the boundary leaves alone) is reused across it."""
+        day = boundary - datetime.timedelta(days=1)
+        before, after = World(CONFIG), World(CONFIG)
+        before.set_time(day)
+        after.set_time(boundary)
+        profile = next(
+            p for p in before.profiles
+            if p.adopter and p.is_cloudflare and not p.custom_config
+            and self.body_key(before.zone_of(p)) == self.body_key(after.zone_of(p))
+        )
+        warm = World(CONFIG)
+        warm.set_answer_cache(True)
+        warm.set_time(day)
+        warm.zone_of(profile)
+        builds = warm.zone_builds
+        warm.set_time(boundary)
+        reused = warm.zone_of(profile)
+        assert warm.zone_builds == builds  # no rebuild for this profile
+        assert warm.zone_body_reuses == 1
+        rebuilt = after.zone_of(profile)  # a fresh build on the boundary day
+        assert self.zone_key(reused) == self.zone_key(rebuilt)
+        assert reused.soa[0].serial == rebuilt.soa[0].serial
+
+    def test_alpn_change_rebuilds(self):
+        boundary = timeline.H3_29_RETIREMENT
+        day = boundary - datetime.timedelta(days=1)
+        warm = World(CONFIG)
+        warm.set_answer_cache(True)
+        warm.set_time(day)
+        profile = next(
+            p for p in warm.profiles
+            if p.is_cloudflare and not p.custom_config and not p.www_only
+            and domains.https_configured(p, CONFIG, day)
+            and domains.https_configured(p, CONFIG, boundary)
+        )
+        first = warm.zone_of(profile)
+        assert "h3-29" in first.get_rrset(profile.apex, rdtypes.HTTPS)[0].params.alpn
+        builds = warm.zone_builds
+        warm.set_time(boundary)
+        zone = warm.zone_of(profile)
+        assert warm.zone_builds == builds + 1
+        assert warm.zone_body_reuses == 0
+        assert "h3-29" not in zone.get_rrset(profile.apex, rdtypes.HTTPS)[0].params.alpn
+
+        fresh = World(CONFIG)
+        fresh.set_time(boundary)
+        assert self.zone_key(zone) == self.zone_key(fresh.zone_of(profile))
 
     def test_same_day_reuse_skips_serial_roll(self):
         world = World(CONFIG)

@@ -1,6 +1,8 @@
 """Unit tests for the ECH subsystem: config codec, HPKE simulation, key
 rotation."""
 
+import pickle
+
 import pytest
 
 from repro.ech.config import (
@@ -156,6 +158,28 @@ class TestKeyManager:
         a = ECHKeyManager("cover.example", seed=b"s")
         b = ECHKeyManager("cover.example", seed=b"s")
         assert a.published_wire(5) == b.published_wire(5)
+
+    def test_published_wire_memo_matches_config_list(self):
+        km = ECHKeyManager("cover.example", seed=b"s", rotation_hours=1.26)
+        hours = range(0, 30)
+        assert len({km.generation_for_hour(h) for h in hours}) > 20
+        for hour in list(hours) + list(hours):  # second pass hits the memo
+            assert km.published_wire(hour) == km.published_config_list(hour).to_wire()
+
+    def test_published_wire_memo_is_per_instance(self):
+        a = ECHKeyManager("cover.example", seed=b"one", rotation_hours=1.26)
+        b = ECHKeyManager("cover.example", seed=b"two", rotation_hours=1.26)
+        for hour in range(12):
+            assert a.published_wire(hour) != b.published_wire(hour)
+        assert b.published_wire(3) == b.published_config_list(3).to_wire()
+
+    def test_published_wire_survives_pickle(self):
+        km = ECHKeyManager("cover.example", seed=b"s", rotation_hours=1.26)
+        before = [km.published_wire(h) for h in range(10)]
+        restored = pickle.loads(pickle.dumps(km))
+        assert [restored.published_wire(h) for h in range(20)] == before + [
+            km.published_config_list(h).to_wire() for h in range(10, 20)
+        ]
 
     def test_active_keypairs_retain_previous(self):
         km = ECHKeyManager("cover.example", rotation_hours=1.0, retain_generations=1)
