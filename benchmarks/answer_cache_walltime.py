@@ -1,6 +1,6 @@
 """Wall-clock comparison: the layered answer fast path on vs off.
 
-Runs the same wire-mode batched campaign twice — once synthesizing and
+Runs the same wire-mode campaign twice — once synthesizing and
 encoding every upstream reply from scratch (``answer_cache=False``) and
 once with all three fast-path tiers armed (rendered-answer memo,
 zone-body reuse, wire-byte templates) — verifies the datasets are
@@ -71,7 +71,7 @@ def main() -> int:
     args = parser.parse_args()
 
     config = SimConfig(population=args.population, wire_mode=True)
-    kwargs = dict(day_step=args.day_step, ech_sample=args.ech_sample, batch=True)
+    kwargs = dict(day_step=args.day_step, ech_sample=args.ech_sample)
 
     # Equivalence check first (untimed): value-equal datasets AND
     # identical per-server query logs — the fast path must be invisible
@@ -108,7 +108,7 @@ def main() -> int:
     lines = [
         "Layered answer fast path: wall-clock comparison (wire mode)",
         f"  population {config.population}, day_step {args.day_step}, "
-        f"ech_sample {args.ech_sample}, batched, best of {max(1, args.repeats)}",
+        f"ech_sample {args.ech_sample}, best of {max(1, args.repeats)}",
         f"  host CPU cores available: {os.cpu_count()}",
         "",
         f"  fast path off (answer_cache=False): {off_s:8.1f} s "

@@ -12,7 +12,7 @@ The dataset comes from a :class:`repro.study.Study`: the identity knobs
 form the :class:`~repro.study.StudySpec`, and
 :meth:`repro.study.ExecutionPlan.from_env` absorbs the execution knobs —
 ``REPRO_WORKERS`` (shard the campaign across N worker processes),
-``REPRO_BATCH`` (batched resolution core), ``REPRO_SNAPSHOT`` (warm
+``REPRO_SNAPSHOT`` (warm
 worker worlds from the on-disk snapshot cache under ``.cache/worlds``),
 ``REPRO_CONTINUOUS`` (build through the checkpointing continuous
 collector), ``REPRO_ANSWER_CACHE`` (the layered answer fast path —

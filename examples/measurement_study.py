@@ -11,8 +11,8 @@ The campaign is driven through the unified Study API
 (:mod:`repro.study`): a declarative :class:`~repro.study.StudySpec`
 names *what* is measured (world config + schedule — the dataset's cache
 identity) and an :class:`~repro.study.ExecutionPlan` names *how* it runs
-(workers, batching, checkpointing — guaranteed not to change the
-result).
+(workers, world snapshots, checkpointing — guaranteed not to change
+the result).
 
 Run:  python examples/measurement_study.py [population]
 

@@ -96,11 +96,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="shard the campaign across N worker processes "
                              "(same dataset, less wall-clock on multi-core)")
-    parser.add_argument("--batch", action=argparse.BooleanOptionalAction, default=False,
-                        help="resolve each day's scan list as one interleaved "
-                             "batch with in-flight query coalescing "
-                             "(--no-batch for one blocking resolve at a time; "
-                             "same dataset either way)")
     parser.add_argument("--answer-cache", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="arm the layered answer fast path: rendered-answer "
@@ -196,7 +191,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
     )
     plan = ExecutionPlan(
         workers=args.workers,
-        batch=args.batch,
         snapshot_dir=snapshot_dir,
         cache_dir=args.cache_dir,
         continuous=args.continuous,

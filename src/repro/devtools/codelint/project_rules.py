@@ -597,7 +597,7 @@ class DeadPublicSymbolRule(ProjectRule):
     rationale = (
         "A public function nothing reaches — not the CLI entry points, "
         "not tests, not __init__ exports, not registered rules — is "
-        "untested code that drifts: PR 5's load_or_run_campaign shim "
+        "untested code that drifts: a deprecated campaign shim once "
         "survived only because a test pinned its cache keys. Reference "
         "counting is conservative (any name/attribute/string-token "
         "mention anywhere in src, tests, benchmarks, examples, setup.py "

@@ -4,9 +4,9 @@ The simulation allocates large, effectively immortal object graphs (a
 :class:`~repro.simnet.world.World` is hundreds of thousands of small
 objects that live until process exit). CPython's generational collector
 promotes them and then keeps re-walking the full heap whenever
-allocation churn trips the generation-2 threshold, which dominates both
-batch-resolution inner loops and world construction / snapshot loading.
-Pausing collection around those phases removes the full-heap passes;
+allocation churn trips the generation-2 threshold, which dominates
+world construction and snapshot loading. Pausing collection around
+those phases removes the full-heap passes;
 reference counting still reclaims everything acyclic immediately.
 
 ``gc.disable()``/``gc.enable()`` is process-global and pause windows may
@@ -26,8 +26,11 @@ _DEPTH = 0
 _WAS_ENABLED = False
 
 
-def pause_gc() -> None:
-    """Open a pause window (disables cyclic collection at depth 0)."""
+@contextlib.contextmanager
+def paused_gc():
+    """Pause cyclic collection for the ``with`` block:
+    ``with paused_gc(): build_the_world()``. Collection resumes when the
+    outermost window exits, if it was enabled when that window opened."""
     global _DEPTH, _WAS_ENABLED
     with _LOCK:
         if _DEPTH == 0:
@@ -35,23 +38,10 @@ def pause_gc() -> None:
             if _WAS_ENABLED:
                 gc.disable()
         _DEPTH += 1
-
-
-def resume_gc() -> None:
-    """Close a pause window (re-enables collection at depth 0 if it was
-    enabled when the outermost window opened)."""
-    global _DEPTH
-    with _LOCK:
-        _DEPTH -= 1
-        if _DEPTH == 0 and _WAS_ENABLED:
-            gc.enable()
-
-
-@contextlib.contextmanager
-def paused_gc():
-    """Context manager form: ``with paused_gc(): build_the_world()``."""
-    pause_gc()
     try:
         yield
     finally:
-        resume_gc()
+        with _LOCK:
+            _DEPTH -= 1
+            if _DEPTH == 0 and _WAS_ENABLED:
+                gc.enable()

@@ -1,31 +1,15 @@
 """Resolution substrate: network fabric, authoritative and recursive
 servers, stub resolver, simulated clock.
 
-Architecture — state machine / scheduler split
-----------------------------------------------
-
-Recursive resolution is factored into two layers:
-
-* :mod:`~repro.resolver.recursive` holds the *state machine*: generator
-  methods that perform iterative resolution (referrals, CNAME chasing,
-  caching, validation) and ``yield`` an
-  :class:`~repro.resolver.recursive.UpstreamQuery` whenever they need
-  the network, packaged per lookup as a resumable
-  :class:`~repro.resolver.recursive.Resolution`.
-* drivers decide *when* each step runs:
-  :meth:`RecursiveResolver.resolve` executes one machine synchronously
-  (the serial path used by ``StubResolver``/``DohServer`` frontends),
-  while :class:`~repro.resolver.batch.BatchResolver` interleaves a whole
-  batch of machines with a bounded in-flight window, coalescing
-  identical concurrent upstream queries and sharing their cache fills.
-
-Both drivers are value-equivalent — same answers, rcodes, AD bits, and
-post-run cache contents — because every step is deterministic under a
-frozen clock; the scheduler only reorders the steps.
+:class:`~repro.resolver.recursive.RecursiveResolver` performs iterative
+resolution (referrals, CNAME chasing, caching, validation) with plain
+method calls, sending each upstream query through
+:meth:`~repro.resolver.network.Network.send_dns_query` as it needs it.
+The ``StubResolver`` and ``DohServer`` frontends ask it one question at
+a time, like the paper's scanner.
 """
 
 from .authoritative import AuthoritativeServer
-from .batch import BatchResolver
 from .clock import SimClock
 from .doh import DohClient, DohResponse, DohServer
 from .network import (
@@ -36,12 +20,11 @@ from .network import (
     PortClosed,
     QueryTimeout,
 )
-from .recursive import RecursiveResolver, Resolution, ResolutionError, UpstreamQuery
+from .recursive import RecursiveResolver, ResolutionError
 from .stub import CLOUDFLARE_RESOLVER_IP, GOOGLE_RESOLVER_IP, StubResolver
 
 __all__ = [
     "AuthoritativeServer",
-    "BatchResolver",
     "SimClock",
     "DohClient",
     "DohResponse",
@@ -53,9 +36,7 @@ __all__ = [
     "PortClosed",
     "QueryTimeout",
     "RecursiveResolver",
-    "Resolution",
     "ResolutionError",
-    "UpstreamQuery",
     "CLOUDFLARE_RESOLVER_IP",
     "GOOGLE_RESOLVER_IP",
     "StubResolver",

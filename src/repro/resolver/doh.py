@@ -7,17 +7,15 @@ or POST (``application/dns-message`` body) exchange, and decoded again —
 exercising the full wire codec on every lookup.
 
 Like :class:`~repro.resolver.stub.StubResolver`, the server side is a
-thin frontend over the shared resumable resolution core: each decoded
-question drives one :class:`~repro.resolver.recursive.Resolution` state
-machine via ``resolver.resolve``, so DoH and plain-stub lookups answer
-identically (and a batch scheduler could drive the same machines).
+thin frontend over :class:`~repro.resolver.recursive.RecursiveResolver`:
+each decoded question goes to ``resolver.resolve``, so DoH and
+plain-stub lookups answer identically.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message

@@ -16,9 +16,9 @@ The fabric also exposes a single injection point, :attr:`Network.dns_fault_hook`
 a callable consulted on every routed DNS query that may pass the query
 through (``None``), synthesize a response (lame delegation), or raise a
 transport error (packet loss / timeout). The hook sees the delivery
-``attempt`` number so drop decisions can be pure functions of
-(seed, query, attempt) — the property that keeps serial and batched
-drivers value-equivalent.
+``attempt`` number so drop decisions are pure functions of
+(seed, query, attempt): a run and its sharded or resumed counterparts
+lose exactly the same deliveries.
 
 **Wire-byte fast path (tier 3).** In ``wire_mode``, when the world's
 :class:`~repro.resolver.authoritative.AnswerCache` is enabled, the

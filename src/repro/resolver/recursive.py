@@ -13,20 +13,15 @@ reproduces the paper's observation (§4.2.3) that public resolvers' server
 selection makes HTTPS records intermittent for domains whose providers
 disagree about HTTPS RR support.
 
-Resolution is structured as a *resumable state machine*: the iterative
-logic lives in generator methods that ``yield`` an :class:`UpstreamQuery`
-whenever they need the network and are resumed with the response (or an
-exception). :meth:`RecursiveResolver.resolve` drives one machine to
-completion synchronously; :class:`~repro.resolver.batch.BatchResolver`
-interleaves many machines, coalescing identical in-flight upstream
-queries. Both drivers produce value-identical answers, rcodes, AD bits,
-and cache fills — the scheduler only changes *when* each step runs.
+Each upstream query goes out through
+:meth:`~repro.resolver.network.Network.send_dns_query` the moment the
+iteration needs it, with bounded retries when a delivery times out.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message, Question
@@ -34,7 +29,7 @@ from ..dnscore.names import Name
 from ..dnscore.rrset import RRset
 from ..dnssec.validation import ChainValidator, ValidationState
 from .clock import SimClock
-from .network import HostUnreachable, Network, NetworkError, QueryTimeout
+from .network import HostUnreachable, Network, QueryTimeout
 
 _MAX_CNAME_CHAIN = 8
 _MAX_REFERRALS = 16
@@ -42,9 +37,11 @@ _MAX_NS_RESOLUTION_DEPTH = 4
 
 # Bounded client-side retries on timeout, with deterministic exponential
 # backoff. The backoff is *recorded* (``backoff_seconds``) rather than
-# slept or applied to the shared SimClock: advancing simulated time per
-# retry would make cache expiries depend on the driver's scheduling
-# order and break the serial==batched equivalence guarantee.
+# slept or applied to the shared SimClock: the clock is the world's, so
+# advancing it per retry would make every later cache expiry and server
+# choice depend on how many deliveries earlier names lost. A sharded or
+# resumed run, whose worlds see only some of those losses, would then
+# diverge from the one-shot run.
 _MAX_RETRIES = 2
 _RETRY_BACKOFF_BASE = 0.5
 
@@ -65,74 +62,6 @@ class _CacheEntry:
         self.rcode = rcode
         self.answers = answers
         self.ad = ad
-
-
-class UpstreamQuery:
-    """One upstream query a resolution state machine wants issued.
-
-    Yielded by the step generators; the driver (serial ``resolve`` or a
-    batch scheduler) sends ``query`` to ``ip`` and resumes the machine
-    with the response, or throws a :class:`NetworkError`
-    (:class:`HostUnreachable`, :class:`QueryTimeout`) into it.
-
-    ``attempt`` is the delivery attempt (0 for the first send, then
-    1, 2, ... across retries); it is part of the batch driver's
-    coalescing key so a retry is a genuinely fresh network event, and
-    the network fault hook sees it so drop decisions are pure functions
-    of (query, attempt).
-    """
-
-    __slots__ = ("ip", "query", "attempt")
-
-    def __init__(self, ip: str, query: Message, attempt: int = 0):
-        self.ip = ip
-        self.query = query
-        self.attempt = attempt
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        question = self.query.questions[0]
-        return f"UpstreamQuery({self.ip}, {question.name.to_text()}/{question.rdtype})"
-
-
-class Resolution:
-    """A resumable single-name resolution (one state-machine instance).
-
-    Protocol: :meth:`start` advances to the first pending
-    :class:`UpstreamQuery` (or completes immediately on a cache hit);
-    each :meth:`step` delivers the previous query's outcome and returns
-    the next pending query, or ``None`` once :attr:`response` is set.
-    """
-
-    __slots__ = ("resolver", "qname", "rdtype", "response", "_gen")
-
-    def __init__(self, resolver: "RecursiveResolver", qname: Name, rdtype: int):
-        self.resolver = resolver
-        self.qname = qname
-        self.rdtype = rdtype
-        self.response: Optional[Message] = None
-        self._gen: Iterator = resolver._resolve_steps(qname, rdtype)
-
-    @property
-    def done(self) -> bool:
-        return self.response is not None
-
-    def start(self) -> Optional[UpstreamQuery]:
-        try:
-            return next(self._gen)
-        except StopIteration as stop:
-            self.response = stop.value
-            return None
-
-    def step(
-        self, response: Optional[Message] = None, error: Optional[Exception] = None
-    ) -> Optional[UpstreamQuery]:
-        try:
-            if error is not None:
-                return self._gen.throw(error)
-            return self._gen.send(response)
-        except StopIteration as stop:
-            self.response = stop.value
-            return None
 
 
 class RecursiveResolver:
@@ -171,27 +100,23 @@ class RecursiveResolver:
 
     def resolve(self, name, rdtype: int) -> Message:
         """Resolve (name, rdtype) and return a response message as a stub
-        client would see it (RA set, AD reflecting validation).
-
-        Drives one :class:`Resolution` machine synchronously — the
-        serial counterpart of the batch scheduler."""
-        resolution = self.resolution(name, rdtype)
-        request = resolution.start()
-        send = self.network.send_dns_query
-        while request is not None:
-            try:
-                reply = send(request.ip, request.query, request.attempt)
-            except NetworkError as exc:
-                request = resolution.step(error=exc)
-            else:
-                request = resolution.step(reply)
-        return resolution.response
-
-    def resolution(self, name, rdtype: int) -> Resolution:
-        """A resumable state machine for resolving (name, rdtype)."""
+        client would see it (RA set, AD reflecting validation)."""
         if not isinstance(name, Name):
             name = Name.from_text(str(name))
-        return Resolution(self, name, rdtype)
+        response = Message(self._next_id())
+        response.is_response = True
+        response.recursion_desired = True
+        response.recursion_available = True
+        response.questions.append(Question(name, rdtype))
+        try:
+            rcode, answers, ad = self._resolve_with_cname(name, rdtype)
+        except ResolutionError:
+            response.rcode = rdtypes.SERVFAIL
+            return response
+        response.rcode = rcode
+        response.answers = answers
+        response.authenticated_data = ad
+        return response
 
     def flush_cache(self) -> None:
         self._cache.clear()
@@ -219,30 +144,13 @@ class RecursiveResolver:
     def _now(self) -> float:
         return self.clock.now
 
-    def _resolve_steps(self, name: Name, rdtype: int):
-        """Top of the state machine: build the client-facing response."""
-        response = Message(self._next_id())
-        response.is_response = True
-        response.recursion_desired = True
-        response.recursion_available = True
-        response.questions.append(Question(name, rdtype))
-        try:
-            rcode, answers, ad = yield from self._resolve_with_cname_steps(name, rdtype)
-        except ResolutionError:
-            response.rcode = rdtypes.SERVFAIL
-            return response
-        response.rcode = rcode
-        response.answers = answers
-        response.authenticated_data = ad
-        return response
-
-    def _resolve_with_cname_steps(self, name: Name, rdtype: int):
+    def _resolve_with_cname(self, name: Name, rdtype: int):
         """Resolve, chasing CNAMEs; returns (rcode, answer rrsets, ad)."""
         answers: List[RRset] = []
         all_secure = True
         current = name
         for _ in range(_MAX_CNAME_CHAIN):
-            rcode, rrsets, ad = yield from self._resolve_one_steps(current, rdtype)
+            rcode, rrsets, ad = self._resolve_one(current, rdtype)
             answers.extend(rrsets)
             all_secure = all_secure and ad
             target_rrset = next(
@@ -257,14 +165,14 @@ class RecursiveResolver:
             current = cname_rrset[0].target
         raise ResolutionError("CNAME chain too long")
 
-    def _resolve_one_steps(self, name: Name, rdtype: int):
+    def _resolve_one(self, name: Name, rdtype: int):
         """Resolve one (name, type) without following cross-zone CNAMEs
         beyond what the authoritative answer already contains."""
         cached = self._cache_get(name, rdtype)
         if cached is not None:
             return cached.rcode, list(cached.answers), cached.ad
 
-        response = yield from self._iterate_steps(name, rdtype)
+        response = self._iterate(name, rdtype)
         ad = False
         if response.rcode == rdtypes.NOERROR and response.answers:
             ad = self._validate_answers(name, rdtype, response)
@@ -333,7 +241,7 @@ class RecursiveResolver:
         start = digest[0] % len(candidates)
         return candidates[start:] + candidates[:start]
 
-    def _iterate_steps(self, name: Name, rdtype: int, depth: int = 0):
+    def _iterate(self, name: Name, rdtype: int, depth: int = 0) -> Message:
         if depth > _MAX_NS_RESOLUTION_DEPTH:
             raise ResolutionError("NS resolution recursion too deep")
         servers = self._closest_cached_delegation(name)
@@ -344,7 +252,7 @@ class RecursiveResolver:
         for _ in range(_MAX_REFERRALS):
             tried_any = False
             for ip in self._select_server(servers, name):
-                response, error = yield from self._query_server_steps(ip, query)
+                response, error = self._query_server(ip, query)
                 if response is None:
                     last_error = error
                     continue
@@ -354,7 +262,7 @@ class RecursiveResolver:
                     continue
                 if response.authoritative or response.answers or response.rcode == rdtypes.NXDOMAIN:
                     return response
-                referral = yield from self._extract_referral_steps(response, name, depth)
+                referral = self._extract_referral(response, name, depth)
                 if referral:
                     servers = referral
                     break
@@ -366,7 +274,7 @@ class RecursiveResolver:
                 raise ResolutionError(f"no usable response: {last_error}")
         raise ResolutionError("too many referrals")
 
-    def _query_server_steps(self, ip: str, query: Message):
+    def _query_server(self, ip: str, query: Message):
         """Deliver ``query`` to one server with bounded timeout retries.
 
         Returns ``(response, None)`` on success or ``(None, error)``
@@ -375,11 +283,14 @@ class RecursiveResolver:
         the caller moves to the next server), after ``max_retries``
         extra attempts on :class:`QueryTimeout`. Backoff between
         attempts is deterministic (``base * 2**attempt``) and only
-        *accounted*, never slept — see module note on clock purity."""
+        *accounted*, never slept — see module note on clock purity.
+        ``attempt`` (0, then 1, 2, ... across retries) reaches the
+        network's fault hook, so drop decisions are pure functions of
+        (query, attempt)."""
         error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
             try:
-                response = yield UpstreamQuery(ip, query, attempt)
+                return self.network.send_dns_query(ip, query, attempt), None
             except QueryTimeout as exc:
                 self.timeouts += 1
                 error = exc
@@ -390,7 +301,6 @@ class RecursiveResolver:
             except HostUnreachable as exc:
                 self.unreachables += 1
                 return None, exc
-            return response, None
         return None, error
 
     def _closest_cached_delegation(self, name: Name) -> List[str]:
@@ -405,7 +315,7 @@ class RecursiveResolver:
                 return list(self.root_hint_ips)
             probe = probe.parent()
 
-    def _extract_referral_steps(self, response: Message, qname: Name, depth: int):
+    def _extract_referral(self, response: Message, qname: Name, depth: int) -> List[str]:
         ns_rrset = next((rr for rr in response.authority if rr.rdtype == rdtypes.NS), None)
         if ns_rrset is None:
             return []
@@ -421,20 +331,19 @@ class RecursiveResolver:
             if ns_name in glue:
                 ips.extend(glue[ns_name])
             else:
-                chased = yield from self._resolve_ns_address_steps(ns_name, depth)
-                ips.extend(chased)
+                ips.extend(self._resolve_ns_address(ns_name, depth))
         if ips and self.cache_enabled:
             ttl = ns_rrset.ttl
             self._delegation_cache[ns_rrset.name] = (self._now() + ttl, ips)
         return ips
 
-    def _resolve_ns_address_steps(self, ns_name: Name, depth: int):
+    def _resolve_ns_address(self, ns_name: Name, depth: int) -> List[str]:
         """Resolve a glueless NS name to addresses (bounded recursion)."""
         cached = self._cache_get(ns_name, rdtypes.A)
         if cached is not None:
             return [rd.address for rr in cached.answers if rr.rdtype == rdtypes.A for rd in rr]
         try:
-            response = yield from self._iterate_steps(ns_name, rdtypes.A, depth + 1)
+            response = self._iterate(ns_name, rdtypes.A, depth + 1)
         except ResolutionError:
             return []
         ips = [

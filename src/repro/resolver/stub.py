@@ -4,23 +4,19 @@ The scanner (like the paper's) talks to two public resolvers — Google
 (8.8.8.8) as primary, Cloudflare (1.1.1.1) as backup — through a stub
 that fails over when the primary SERVFAILs or is unreachable.
 
-Both entry points are thin frontends over the same resumable resolution
-core: :meth:`StubResolver.query` drives one state machine per question
-through :meth:`~repro.resolver.recursive.RecursiveResolver.resolve`,
-while :meth:`StubResolver.query_batch` hands a whole question list to a
-:class:`~repro.resolver.batch.BatchResolver` so resolutions interleave
-and identical in-flight upstream queries coalesce — with identical
-answers either way.
+:meth:`StubResolver.query` sends one question at a time through
+:meth:`~repro.resolver.recursive.RecursiveResolver.resolve`, and
+:class:`ResolverFrontend` puts a resolver behind its anycast address on
+the simulated network.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message
 from ..dnscore.names import Name
-from .batch import BatchResolver
 from .recursive import RecursiveResolver
 
 
@@ -48,14 +44,10 @@ CLOUDFLARE_RESOLVER_IP = "1.1.1.1"
 class StubResolver:
     """Client-side stub with a primary/backup resolver list."""
 
-    def __init__(self, resolvers: List[RecursiveResolver], batch_window: Optional[int] = None):
+    def __init__(self, resolvers: List[RecursiveResolver]):
         if not resolvers:
             raise ValueError("need at least one upstream resolver")
         self.resolvers = list(resolvers)
-        self.batch_window = batch_window
-        # Created on first batched query; stays None on the serial path
-        # so run statistics can tell whether batching was ever used.
-        self.batch: Optional[BatchResolver] = None
 
     def query(self, name, rdtype: int) -> Message:
         """Query the primary; fail over to backups on SERVFAIL."""
@@ -69,38 +61,6 @@ class StubResolver:
             last = response
         assert last is not None
         return last
-
-    def query_batch(self, questions: Sequence[Tuple[object, int]]) -> List[Message]:
-        """Batched counterpart of :meth:`query`: resolve every (name,
-        rdtype) as one interleaved batch against the primary, then fail
-        the SERVFAIL subset over to each backup in turn. Responses come
-        back in question order, value-equal to serial ``query`` calls."""
-        if self.batch is None:
-            if self.batch_window is None:
-                self.batch = BatchResolver(self.resolvers[0].network)
-            else:
-                self.batch = BatchResolver(
-                    self.resolvers[0].network, window=self.batch_window
-                )
-        pairs = [
-            (name if isinstance(name, Name) else Name.from_text(str(name)), rdtype)
-            for name, rdtype in questions
-        ]
-        responses = self.batch.resolve_many(self.resolvers[0], pairs)
-        pending = [i for i, r in enumerate(responses) if r.rcode == rdtypes.SERVFAIL]
-        for resolver in self.resolvers[1:]:
-            if not pending:
-                break
-            retries = self.batch.resolve_many(resolver, [pairs[i] for i in pending])
-            still: List[int] = []
-            for index, retry in zip(pending, retries):
-                # Like serial query(): keep the first non-SERVFAIL answer,
-                # or the last resolver's SERVFAIL once everyone failed.
-                responses[index] = retry
-                if retry.rcode == rdtypes.SERVFAIL:
-                    still.append(index)
-            pending = still
-        return responses
 
     def query_https(self, name) -> Message:
         return self.query(name, rdtypes.HTTPS)

@@ -6,7 +6,6 @@ from .campaign import (
     RunStats,
     build_schedule,
     canonical_cache_tag,
-    load_or_run_campaign,
     run_campaign,
     run_scheduled,
     slice_schedule,
@@ -41,7 +40,6 @@ __all__ = [
     "RunStats",
     "build_schedule",
     "canonical_cache_tag",
-    "load_or_run_campaign",
     "run_campaign",
     "run_scheduled",
     "slice_schedule",

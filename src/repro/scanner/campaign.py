@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import sys
-import warnings
-from typing import AbstractSet, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Mapping, Optional, Sequence, Tuple
 
 from ..dnscore import rdtypes
 from ..dnssec.validation import ChainValidator
 from ..simnet import timeline
-from ..simnet.config import SimConfig
 from ..simnet.faults import FaultSchedule
 from ..simnet.world import World
 from .dataset import DailySnapshot, Dataset
@@ -36,16 +33,13 @@ from .engine import ScanEngine
 
 @dataclasses.dataclass
 class RunStats:
-    """Transport/scheduler counters for one campaign run.
+    """Transport and cache counters for one campaign run.
 
     Purely diagnostic (never part of dataset equality): how many DNS
-    queries and TCP connects the run's world(s) carried, and — when the
-    batched resolution core ran — how many upstream queries in-flight
-    coalescing saved and how many duplicate jobs the batch memo
-    answered. The fault-path counters (query timeouts, retries, and
-    hosts found unreachable, summed over the world's recursive
-    resolvers) surface what a chaos scenario — or organic simulated
-    misbehaviour — cost the clients. The answer fast-path counters
+    queries and TCP connects the run's world(s) carried. The fault-path
+    counters (query timeouts, retries, and hosts found unreachable,
+    summed over the world's recursive resolvers) surface what a chaos
+    scenario — or organic simulated misbehaviour — cost the clients. The answer fast-path counters
     report what the layered caches saved: rendered-answer hits/misses/
     evictions (tier 1), wire-byte patch hits (tier 3), and zone builds
     vs zone-body reuses (tier 2). The pipeline sums per-worker stats
@@ -55,10 +49,6 @@ class RunStats:
 
     dns_queries: int = 0
     tcp_connects: int = 0
-    batch_jobs: int = 0
-    coalesced_queries: int = 0
-    attached_jobs: int = 0
-    batch_memo_hits: int = 0
     timeouts: int = 0
     retries: int = 0
     unreachables: int = 0
@@ -87,12 +77,6 @@ class RunStats:
             stats.timeouts += resolver.timeouts
             stats.retries += resolver.retries
             stats.unreachables += resolver.unreachables
-        batch = world.stub.batch
-        if batch is not None:
-            stats.batch_jobs = batch.jobs_run
-            stats.coalesced_queries = batch.coalesced_queries
-            stats.attached_jobs = batch.attached_jobs
-            stats.batch_memo_hits = batch.memo_hits
         cache = world.answer_cache
         stats.answer_hits = cache.hits
         stats.answer_misses = cache.misses
@@ -106,13 +90,6 @@ class RunStats:
         text = (
             f"dns_queries={self.dns_queries} tcp_connects={self.tcp_connects}"
         )
-        if self.batch_jobs:
-            text += (
-                f" batch_jobs={self.batch_jobs}"
-                f" coalesced_queries={self.coalesced_queries}"
-                f" attached_jobs={self.attached_jobs}"
-                f" batch_memo_hits={self.batch_memo_hits}"
-            )
         if self.timeouts or self.retries or self.unreachables:
             text += (
                 f" timeouts={self.timeouts}"
@@ -228,7 +205,6 @@ def run_campaign(
     with_ech_hourly: bool = True,
     with_dnssec_snapshot: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    batch: bool = False,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
 ) -> Dataset:
@@ -242,7 +218,7 @@ def run_campaign(
         with_dnssec_snapshot=with_dnssec_snapshot,
     )
     return run_scheduled(
-        world, schedule, progress=progress, batch=batch, scenario=scenario,
+        world, schedule, progress=progress, scenario=scenario,
         answer_cache=answer_cache,
     )
 
@@ -253,7 +229,6 @@ def run_scheduled(
     progress: Optional[Callable[[str], None]] = None,
     names: Optional[AbstractSet[str]] = None,
     scan_nameservers: bool = True,
-    batch: bool = False,
     seen_https: Optional[AbstractSet[str]] = None,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
@@ -268,17 +243,15 @@ def run_scheduled(
     owns each of its domains' full history. ``scan_nameservers=False``
     skips the per-day NS-IP scan (the pipeline runs it post-merge so
     name servers shared across shards are scanned once, not N times).
-    ``batch=True`` resolves each day's scans as interleaved batches
-    through the batched resolution core — the dataset is value-equal to
-    the serial path either way. *seen_https* carries the deactivation
-    watchlist across day-slice increments: a continuation run over later
-    days passes the apexes that already published HTTPS on earlier days
-    (recoverable as the union of ``snapshot.apex`` keys), so the fold of
-    day-slices watches exactly the domains a one-shot run would.
+    *seen_https* carries the deactivation watchlist across day-slice
+    increments: a continuation run over later days passes the apexes
+    that already published HTTPS on earlier days (recoverable as the
+    union of ``snapshot.apex`` keys), so the fold of day-slices watches
+    exactly the domains a one-shot run would.
     *scenario* installs a :class:`~repro.simnet.faults.FaultSchedule` on
     the world for the duration of the run (cleared on exit, so shared
     registry worlds go back pristine); observations are value-equal
-    across serial/batched/sharded execution of the same scenario.
+    across serial and sharded execution of the same scenario.
     ``answer_cache`` arms the world's layered answer fast path for the
     duration of the run (disarmed on exit, like the scenario) — the
     dataset, per-server query logs, and transport counters are identical
@@ -303,7 +276,7 @@ def run_scheduled(
             world.set_time(date)
             snapshot = _scan_one_day(
                 world, engine, date, seen_https, names=names,
-                scan_nameservers=scan_nameservers, batch=batch,
+                scan_nameservers=scan_nameservers,
             )
             dataset.add_snapshot(snapshot)
             if progress is not None:
@@ -313,9 +286,7 @@ def run_scheduled(
                 )
 
             if date in ech_days:
-                _run_ech_hourly(
-                    world, engine, dataset, date, schedule.ech_sample, batch=batch
-                )
+                _run_ech_hourly(world, engine, dataset, date, schedule.ech_sample)
 
             if (
                 schedule.dnssec_threshold is not None
@@ -343,15 +314,8 @@ def _scan_one_day(
     seen_https: Optional[set] = None,
     names: Optional[AbstractSet[str]] = None,
     scan_nameservers: bool = True,
-    batch: bool = False,
 ) -> DailySnapshot:
-    """Scan one day; with *names*, only that slice of the ranked list.
-
-    With ``batch=True`` all apex/www scans (and the watchlist NS
-    follow-ups) resolve as interleaved batches up front; the bookkeeping
-    loop below is shared by both paths, so the snapshot is value-equal
-    either way (per-name observations are deterministic at a frozen
-    clock)."""
+    """Scan one day; with *names*, only that slice of the ranked list."""
     if seen_https is None:
         seen_https = set()
     ranked = tuple(world.tranco_list(date))
@@ -361,22 +325,11 @@ def _scan_one_day(
     in_nsip_window = date >= timeline.NS_IP_WHOIS_SCAN_START
     in_connectivity_window = date >= timeline.CONNECTIVITY_SCAN_START
 
-    profiles = [world.profile_by_name(name_text) for name_text in targets]
-    apex_pre: Dict[str, object] = {}
-    www_pre: Dict[str, object] = {}
-    if batch:
-        kept = [p for p in profiles if p is not None]
-        scanned = engine.scan_names(
-            [(p.apex, "apex") for p in kept] + [(p.www, "www") for p in kept]
-        )
-        apex_pre = {p.name: obs for p, obs in zip(kept, scanned[: len(kept)])}
-        www_pre = {p.name: obs for p, obs in zip(kept, scanned[len(kept):])}
-    watch_pending: list = []  # (apex Name, observation name) for batched NS follow-up
-
-    for name_text, profile in zip(targets, profiles):
+    for name_text in targets:
+        profile = world.profile_by_name(name_text)
         if profile is None:  # pragma: no cover - registry is complete
             continue
-        apex_obs = apex_pre[name_text] if batch else engine.scan_name(profile.apex, "apex")
+        apex_obs = engine.scan_name(profile.apex, "apex")
         if not in_ns_window:
             # Table 1: SOA/NS collection starts 2023-08-16.
             apex_obs.ns_names = ()
@@ -392,14 +345,9 @@ def _scan_one_day(
         elif in_ns_window and apex_obs.name in seen_https:
             # Deactivation follow-up (§4.2.3): track the NS records of
             # domains that used to publish HTTPS.
-            if batch:
-                watch_pending.append((profile.apex, apex_obs.name))
-            else:
-                ns_response = world.stub.query(profile.apex, rdtypes.NS)
-                snapshot.watchlist_ns[apex_obs.name] = _ns_name_tuple(
-                    ns_response, profile.apex
-                )
-        www_obs = www_pre[name_text] if batch else engine.scan_name(profile.www, "www")
+            ns_response = world.stub.query(profile.apex, rdtypes.NS)
+            snapshot.watchlist_ns[apex_obs.name] = _ns_name_tuple(ns_response, profile.apex)
+        www_obs = engine.scan_name(profile.www, "www")
         if not in_ns_window:
             www_obs.ns_names = ()
             www_obs.soa_serial = None
@@ -407,41 +355,25 @@ def _scan_one_day(
             snapshot.www_https_count += 1
             snapshot.www[www_obs.name] = www_obs
 
-    if watch_pending:
-        ns_responses = world.stub.query_batch(
-            [(apex, rdtypes.NS) for apex, _ in watch_pending]
-        )
-        for (apex, obs_name), ns_response in zip(watch_pending, ns_responses):
-            snapshot.watchlist_ns[obs_name] = _ns_name_tuple(ns_response, apex)
-
     if scan_nameservers and in_nsip_window:
         for hostname, observation in scan_nameserver_set(
-            engine, sorted(ns_hostnames_of(snapshot)), batch=batch
+            engine, sorted(ns_hostnames_of(snapshot))
         ):
             snapshot.ns_observations[hostname] = observation
     return snapshot
 
 
-def scan_nameserver_set(
-    engine: ScanEngine, hostnames, batch: bool = False
-):
-    """Resolve + WHOIS-attribute *hostnames* in order, serially or as one
-    batch (shared by the per-day scan and the pipeline's post-merge NS
-    stage so the two paths cannot drift apart)."""
-    if batch:
-        return list(zip(hostnames, engine.scan_nameservers(hostnames)))
+def scan_nameserver_set(engine: ScanEngine, hostnames):
+    """Resolve + WHOIS-attribute *hostnames* in order (shared by the
+    per-day scan and the pipeline's post-merge NS stage so the two paths
+    cannot drift apart)."""
     return [(hostname, engine.scan_nameserver(hostname)) for hostname in hostnames]
 
 
-def scan_ech_hour(
-    engine: ScanEngine, names, absolute_hour: int, batch: bool = False
-):
-    """One hour's ECH rescan over *names*, serially or as one batch
-    (shared by the sequential runner and the pipeline's ECH stage)."""
-    if batch:
-        scanned = engine.scan_ech_many(names, absolute_hour)
-    else:
-        scanned = (engine.scan_ech(name, absolute_hour) for name in names)
+def scan_ech_hour(engine: ScanEngine, names, absolute_hour: int):
+    """One hour's ECH rescan over *names* (shared by the sequential
+    runner and the pipeline's ECH stage)."""
+    scanned = (engine.scan_ech(name, absolute_hour) for name in names)
     return [observation for observation in scanned if observation is not None]
 
 
@@ -472,7 +404,6 @@ def _run_ech_hourly(
     dataset: Dataset,
     date: datetime.date,
     sample: int,
-    batch: bool = False,
 ) -> None:
     """Hourly rescans of ECH-bearing domains for *date* (§4.4.2).
 
@@ -488,7 +419,7 @@ def _run_ech_hourly(
         world.set_time(date, hour)
         absolute_hour = timeline.day_index(date) * 24 + hour
         dataset.ech_observations.extend(
-            scan_ech_hour(engine, names, absolute_hour, batch=batch)
+            scan_ech_hour(engine, names, absolute_hour)
         )
     # Park the clock at the end of the day so the next daily scan is forward.
     world.set_time(date, 23.9)
@@ -564,55 +495,3 @@ def canonical_cache_tag(kwargs: Mapping[str, object]) -> str:
             )
         parts.append(f"{key}={text}")
     return "|".join(parts)
-
-
-def load_or_run_campaign(
-    config: Optional[SimConfig] = None,
-    day_step: int = 7,
-    cache_dir: str = ".cache",
-    verbose: bool = False,
-    workers: int = 1,
-    batch: bool = False,
-    snapshot_dir: Optional[str] = None,
-    continuous: bool = False,
-    checkpoint_dir: Optional[str] = None,
-    days_per_increment: int = 7,
-    max_increments: Optional[int] = None,
-    **kwargs,
-) -> Dataset:
-    """Deprecated: build a :class:`~repro.study.Study` instead.
-
-    Thin shim over the unified Study API — the schedule kwargs become a
-    :class:`~repro.study.StudySpec`, the execution knobs an
-    :class:`~repro.study.ExecutionPlan`, and the dataset comes from
-    ``Study.run()``. Cache paths are byte-identical to the pre-Study
-    keys (one-shot and continuous), so existing ``.cache`` entries keep
-    hitting. Unlike the old surface, a misspelled schedule kwarg now
-    raises ``TypeError`` instead of being silently cache-keyed.
-    """
-    # Deliberate upward import: this deprecated shim *wraps* the Study
-    # facade that replaced it (PR 5), so it must reach one layer up. The
-    # import is function-local (no import-time cycle) and dies with the
-    # shim; new scanner code must not import repro.study.
-    from ..study import ExecutionPlan, Study, StudySpec  # codelint: disable=LAYER01
-
-    warnings.warn(
-        "load_or_run_campaign is deprecated; build a repro.study.Study "
-        "from a StudySpec and an ExecutionPlan instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = StudySpec(config, day_step=day_step, **kwargs)
-    plan = ExecutionPlan(
-        workers=workers,
-        batch=batch,
-        snapshot_dir=snapshot_dir,
-        cache_dir=cache_dir,
-        continuous=continuous,
-        checkpoint_dir=checkpoint_dir,
-        days_per_increment=days_per_increment,
-        max_increments=max_increments,
-    )
-    progress = (lambda msg: print(msg, file=sys.stderr)) if verbose else None
-    with Study(spec, plan) as study:
-        return study.run(progress=progress)

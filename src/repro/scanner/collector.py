@@ -15,7 +15,7 @@ longitudinal dataset the moment it completes:
 * the domain space partitions into *shards* by the pipeline's
   :class:`~repro.scanner.pipeline.ShardPlan`;
 * one **increment** is the pair (day-slice × domain-shard), executed
-  through the existing batched/sharded machinery
+  through the existing sharded machinery
   (:meth:`~repro.scanner.pipeline.ParallelCampaignRunner.run_shard`,
   whose worker pool and per-process world registries stay warm across
   increments);
@@ -323,7 +323,6 @@ class ContinuousCollector:
         with_ech_hourly: bool = True,
         with_dnssec_snapshot: bool = True,
         days_per_increment: int = 7,
-        batch: bool = False,
         snapshot_dir: Optional[str] = None,
         executor: str = "process",
         keep_alive: bool = False,
@@ -358,7 +357,6 @@ class ContinuousCollector:
             self.config,
             workers=self.workers,
             executor=executor,
-            batch=batch,
             snapshot_dir=snapshot_dir,
             schedule=self.schedule,
             keep_alive=True,
@@ -370,8 +368,8 @@ class ContinuousCollector:
 
     def _meta(self) -> Dict:
         """The checkpoint identity header: everything that must match for
-        a resume to be sound. Equality-preserving knobs (batch, snapshot
-        dir, executor, answer_cache) deliberately stay out — they may
+        a resume to be sound. Equality-preserving knobs (snapshot dir,
+        executor, answer_cache) deliberately stay out — they may
         change between sessions without invalidating completed
         increments."""
         return {

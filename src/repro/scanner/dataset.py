@@ -135,9 +135,9 @@ class Dataset:
         # name -> (has_https, signed, validation_state, ns_names, registrar)
         self.dnssec_snapshot: Dict[str, tuple] = {}
         self.dnssec_snapshot_date: Optional[datetime.date] = None
-        # Diagnostic transport/scheduler counters for the run that built
+        # Diagnostic transport and cache counters for the run that built
         # this dataset (a campaign.RunStats); deliberately excluded from
-        # __eq__ — serial, batched, and sharded runs produce equal
+        # __eq__ — serial and sharded runs produce equal
         # datasets but different counter values.
         self.run_stats = None
         # True when this instance came from Dataset.load rather than a
@@ -186,7 +186,7 @@ class Dataset:
         *allow_overlap*, in which case the later slice supersedes),
         hourly ECH rows dedupe by (name, hour, config), the latest
         DNSSEC snapshot wins, and ``run_stats`` accumulate so a
-        longitudinal collection reports transport/coalescing totals
+        longitudinal collection reports transport and fault totals
         across all of its increments. ``day_step`` is deliberately left
         alone: the continuous collector folds slices of one campaign
         cadence, and recomputing it from observed gaps would diverge
@@ -299,6 +299,6 @@ def checkpoint_dir_path(
     distinct name shape, so a half-finished checkpoint can never alias a
     cached one-shot dataset file (the *tag* additionally carries the
     continuous-mode knobs — see
-    :func:`~repro.scanner.campaign.load_or_run_campaign`)."""
+    :meth:`~repro.study.StudySpec.cache_tag`)."""
     key = _dataset_key(population, seed, day_step, tag)
     return os.path.join(cache_dir, "checkpoints", f"campaign_{population}_{day_step}_{key}")

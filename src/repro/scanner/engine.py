@@ -13,25 +13,22 @@ For every domain in the daily list the engine
 6. in the connectivity window, TLS-probes every address of domains whose
    IP hints disagree with their A records.
 
-Every scan comes in two value-equivalent flavours: per-name methods
-(``scan_name``, ``scan_nameserver``, ``scan_ech``) that query serially,
-and batched counterparts (``scan_names``, ``scan_nameservers``,
-``scan_ech_many``) that resolve a whole name list as one interleaved
-batch through :meth:`~repro.resolver.stub.StubResolver.query_batch`.
+Each scan (``scan_name``, ``scan_nameserver``, ``scan_ech``) covers one
+name and sends its queries one at a time through the world's
+:class:`~repro.resolver.stub.StubResolver`.
 """
 
 from __future__ import annotations
 
 import datetime
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message
 from ..dnscore.names import Name
 from ..dnscore.rdata import HTTPSRdata
 from ..ech.config import try_parse_config_list
-from ..simnet import domains as domain_state
 from ..simnet.cohorts import DomainProfile
 from ..simnet.world import World
 from ..whois.registry import WhoisClient, build_default_registry
@@ -131,148 +128,6 @@ class ScanEngine:
             self._follow_up_queries(observation, name)
         return observation
 
-    # -- batched multi-name scan ------------------------------------------
-
-    # Names per resolution batch. Sequential chunks keep the live set of
-    # in-flight responses bounded (a whole day's responses held at once
-    # makes every cyclic-GC pass scan them repeatedly); resolver caches
-    # persist across chunks, so the answers are unaffected.
-    _SCAN_CHUNK = 128
-
-    def scan_names(
-        self, items: Sequence[Tuple[Name, str]], follow_up: bool = True
-    ) -> List[DomainObservation]:
-        """Batched counterpart of :meth:`scan_name`: scan every (name,
-        kind) with the same §4.1 methodology, resolving each phase's
-        queries (HTTPS, CNAME re-queries, follow-ups) as interleaved
-        batches. Observations come back in input order, value-equal to
-        per-name ``scan_name`` calls."""
-        if len(items) > self._SCAN_CHUNK:
-            observations: List[DomainObservation] = []
-            for offset in range(0, len(items), self._SCAN_CHUNK):
-                observations.extend(
-                    self._scan_names_chunk(
-                        items[offset : offset + self._SCAN_CHUNK], follow_up
-                    )
-                )
-            return observations
-        return self._scan_names_chunk(items, follow_up)
-
-    def _scan_names_chunk(
-        self, items: Sequence[Tuple[Name, str]], follow_up: bool
-    ) -> List[DomainObservation]:
-        stub = self.world.stub
-        responses = stub.query_batch([(name, rdtypes.HTTPS) for name, _ in items])
-        observations: List[Optional[DomainObservation]] = [None] * len(items)
-        # (index, chase target, fallback rcode/ad): everything needed if
-        # the re-query comes back empty, so phase A's responses can be
-        # dropped before the chase batch runs.
-        chase: List[Tuple[int, Name, int, bool]] = []
-        for index, ((name, kind), response) in enumerate(zip(items, responses)):
-            owner = name
-            via_cname: Optional[str] = None
-            https_rrset = response.get_answer(name, rdtypes.HTTPS)
-            if https_rrset is None:
-                cname_target = self._terminal_cname(response, name)
-                if cname_target is not None:
-                    via_cname = cname_target.to_text()
-                    owner = cname_target
-                    https_rrset = response.get_answer(cname_target, rdtypes.HTTPS)
-                    if https_rrset is None:
-                        # Re-query at the canonical name, like the paper does.
-                        chase.append(
-                            (index, cname_target, response.rcode,
-                             response.authenticated_data)
-                        )
-                        continue
-            observations[index] = self._build_observation(
-                name, kind, response.rcode, response.authenticated_data,
-                https_rrset, owner, via_cname, response,
-            )
-        del responses  # chunk's answers are folded in; free them early
-        if chase:
-            chased = stub.query_batch(
-                [(target, rdtypes.HTTPS) for _, target, _, _ in chase]
-            )
-            for (index, target, rcode, ad), chased_response in zip(chase, chased):
-                name, kind = items[index]
-                https_rrset = chased_response.get_answer(target, rdtypes.HTTPS)
-                if https_rrset is None:
-                    # Chase came back empty: report the original response.
-                    observations[index] = self._build_observation(
-                        name, kind, rcode, ad, None, target,
-                        target.to_text(), None,
-                    )
-                else:
-                    observations[index] = self._build_observation(
-                        name, kind, chased_response.rcode,
-                        chased_response.authenticated_data, https_rrset,
-                        target, target.to_text(), chased_response,
-                    )
-        if follow_up:
-            self._follow_up_batch(
-                [(items[i][0], obs) for i, obs in enumerate(observations) if obs.has_https]
-            )
-        return observations
-
-    @staticmethod
-    def _build_observation(
-        name: Name,
-        kind: str,
-        rcode: int,
-        ad_flag: bool,
-        https_rrset,
-        owner: Name,
-        via_cname: Optional[str],
-        response: Optional[Message],
-    ) -> DomainObservation:
-        https_views: List[HttpsRecordView] = []
-        rrsig_present = False
-        if https_rrset is not None:
-            https_views = [
-                parse_https_rdata(rd) for rd in https_rrset if isinstance(rd, HTTPSRdata)
-            ]
-            rrsig_present = (
-                response is not None
-                and response.get_answer(owner, rdtypes.RRSIG) is not None
-            )
-        return DomainObservation(
-            name=name.to_text(omit_final_dot=True),
-            kind=kind,
-            rcode=rcode,
-            https_records=tuple(https_views),
-            via_cname=via_cname,
-            rrsig_present=rrsig_present,
-            ad_flag=ad_flag,
-        )
-
-    def _follow_up_batch(self, pending: List[Tuple[Name, DomainObservation]]) -> None:
-        """Batched :meth:`_follow_up_queries` over every HTTPS-bearing
-        observation: four questions per name, one resolution batch."""
-        if not pending:
-            return
-        questions: List[Tuple[Name, int]] = []
-        for name, _obs in pending:
-            questions.extend(
-                (name, rdtype)
-                for rdtype in (rdtypes.A, rdtypes.AAAA, rdtypes.SOA, rdtypes.NS)
-            )
-        answers = self.world.stub.query_batch(questions)
-        for slot, (name, observation) in enumerate(pending):
-            a_response, aaaa_response, soa_response, ns_response = answers[
-                4 * slot : 4 * slot + 4
-            ]
-            observation.a_addrs = self._addresses(a_response, rdtypes.A)
-            observation.aaaa_addrs = self._addresses(aaaa_response, rdtypes.AAAA)
-            soa_rrset = soa_response.get_answer(name, rdtypes.SOA)
-            if soa_rrset is not None and len(soa_rrset):
-                observation.soa_serial = soa_rrset[0].serial
-            ns_rrset = ns_response.get_answer(name, rdtypes.NS)
-            if ns_rrset is not None:
-                observation.ns_names = tuple(
-                    sorted(rd.target.to_text(omit_final_dot=True) for rd in ns_rrset)
-                )
-
     _MAX_CNAME_CHAIN = 8
 
     def _terminal_cname(self, response: Message, name: Name) -> Optional[Name]:
@@ -324,23 +179,6 @@ class ScanEngine:
     def scan_nameserver(self, hostname: str) -> NameServerObservation:
         name = Name.from_text(hostname if hostname.endswith(".") else hostname + ".")
         response = self.world.stub.query(name, rdtypes.A)
-        return self._nameserver_observation(hostname, response)
-
-    def scan_nameservers(self, hostnames: Sequence[str]) -> List[NameServerObservation]:
-        """Batched counterpart of :meth:`scan_nameserver`: resolve every
-        hostname's addresses as one batch, then WHOIS-attribute each."""
-        names = [
-            Name.from_text(h if h.endswith(".") else h + ".") for h in hostnames
-        ]
-        responses = self.world.stub.query_batch([(n, rdtypes.A) for n in names])
-        return [
-            self._nameserver_observation(hostname, response)
-            for hostname, response in zip(hostnames, responses)
-        ]
-
-    def _nameserver_observation(
-        self, hostname: str, response: Message
-    ) -> NameServerObservation:
         ips = self._addresses(response, rdtypes.A)
         org = None
         if ips:
@@ -374,18 +212,7 @@ class ScanEngine:
     # -- hourly ECH scan (§4.4.2) -----------------------------------------------------
 
     def scan_ech(self, name: Name, hour: int) -> Optional[EchObservation]:
-        return self._ech_of(self.scan_name(name, "apex", follow_up=False), hour)
-
-    def scan_ech_many(
-        self, names: Sequence[Name], hour: int
-    ) -> List[Optional[EchObservation]]:
-        """Batched counterpart of :meth:`scan_ech`: one rescan batch for
-        the whole hourly target list."""
-        observations = self.scan_names([(n, "apex") for n in names], follow_up=False)
-        return [self._ech_of(observation, hour) for observation in observations]
-
-    @staticmethod
-    def _ech_of(observation: DomainObservation, hour: int) -> Optional[EchObservation]:
+        observation = self.scan_name(name, "apex", follow_up=False)
         for view in observation.https_records:
             if view.has_ech and view.ech_digest is not None:
                 return EchObservation(

@@ -15,7 +15,7 @@ Architecture of a continuous collection (see
   :func:`~repro.scanner.campaign.slice_schedule`) and the domain space
   into *shards* (:class:`~repro.scanner.pipeline.ShardPlan`); one unit
   of arriving work is the pair (day-slice × domain-shard). Each
-  increment runs through the same batched/sharded machinery a one-shot
+  increment runs through the same sharded machinery a one-shot
   pipeline run uses, with the cross-day ``seen_https`` watchlist state
   carried in from the already-folded days
   (:meth:`~repro.scanner.dataset.Dataset.apexes_with_https`).
@@ -56,7 +56,7 @@ def merge_datasets(slices: Sequence[Dataset], allow_overlap: bool = False) -> Da
     Overlapping scan days are rejected unless *allow_overlap* — in which
     case later slices win (re-scans supersede). Per-slice ``run_stats``
     (when recorded) sum onto the merged dataset, so a long collection
-    reports its transport/coalescing totals rather than dropping them.
+    reports its transport and fault totals rather than dropping them.
     """
     if not slices:
         raise DatasetMergeError("nothing to merge")

@@ -26,11 +26,7 @@ its targets (first ``ech_sample`` ECH-bearing apexes by name), so it
 runs as a second stage after the daily-scan merge, itself sharded by the
 same plan.
 
-``batch=True`` makes every worker resolve its slice through the batched
-resolution core (:class:`~repro.resolver.batch.BatchResolver`) instead
-of one blocking resolve at a time — batching inside a shard multiplies
-with process-level sharding, and the merged dataset stays equal either
-way. Worker transport counters (``Network.dns_query_count`` etc.) are
+Worker transport counters (``Network.dns_query_count`` etc.) are
 summed across all stages into ``run_stats`` on the merged dataset.
 
 Worker warm-up goes through the world snapshot cache
@@ -123,7 +119,7 @@ class ShardPlan:
 
 def _scan_shard(
     config: SimConfig, schedule: CampaignSchedule, shards: int, index: int,
-    batch: bool = False, snapshot_dir: Optional[str] = None,
+    snapshot_dir: Optional[str] = None,
     seen_https: FrozenSet[str] = frozenset(),
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
@@ -143,7 +139,7 @@ def _scan_shard(
         # N times.
         quiet = dataclasses.replace(schedule, ech_days=())
         return run_scheduled(
-            world, quiet, names=names, scan_nameservers=False, batch=batch,
+            world, quiet, names=names, scan_nameservers=False,
             seen_https=seen_https, scenario=scenario, answer_cache=answer_cache,
         )
     finally:
@@ -153,7 +149,6 @@ def _scan_shard(
 def _scan_ns_shard(
     config: SimConfig,
     day_hostnames: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
-    batch: bool = False,
     snapshot_dir: Optional[str] = None,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
@@ -168,9 +163,7 @@ def _scan_ns_shard(
         results: List[Tuple[datetime.date, str, NameServerObservation]] = []
         for date, hostnames in sorted(day_hostnames):
             world.set_time(date)
-            for hostname, observation in scan_nameserver_set(
-                engine, hostnames, batch=batch
-            ):
+            for hostname, observation in scan_nameserver_set(engine, hostnames):
                 results.append((date, hostname, observation))
         return results, RunStats.of_world(world)
     finally:
@@ -180,7 +173,6 @@ def _scan_ns_shard(
 def _scan_ech_shard(
     config: SimConfig,
     day_targets: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
-    batch: bool = False,
     snapshot_dir: Optional[str] = None,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
@@ -198,9 +190,7 @@ def _scan_ech_shard(
             for hour in range(24):
                 world.set_time(date, hour)
                 absolute_hour = timeline.day_index(date) * 24 + hour
-                observations.extend(
-                    scan_ech_hour(engine, names, absolute_hour, batch=batch)
-                )
+                observations.extend(scan_ech_hour(engine, names, absolute_hour))
         return observations, RunStats.of_world(world)
     finally:
         checkin_world(world)
@@ -307,7 +297,6 @@ class ParallelCampaignRunner:
         with_ech_hourly: bool = True,
         with_dnssec_snapshot: bool = True,
         executor: str = "process",
-        batch: bool = False,
         snapshot_dir: Optional[str] = None,
         schedule: Optional[CampaignSchedule] = None,
         keep_alive: bool = False,
@@ -319,7 +308,6 @@ class ParallelCampaignRunner:
         self.config = config if config is not None else SimConfig()
         self.workers = max(1, int(workers))
         self.executor = executor
-        self.batch = bool(batch)
         self.snapshot_dir = snapshot_dir
         self.keep_alive = bool(keep_alive)
         self.scenario = scenario
@@ -333,7 +321,7 @@ class ParallelCampaignRunner:
             with_dnssec_snapshot=with_dnssec_snapshot,
         )
         self.plan = ShardPlan(self.workers, self.config.seed)
-        # Filled by run()/run_schedule(): transport/scheduler counters
+        # Filled by run()/run_schedule(): transport and cache counters
         # summed over every worker in every stage (they are otherwise
         # lost at worker exit).
         self.run_stats: Optional[RunStats] = None
@@ -366,7 +354,7 @@ class ParallelCampaignRunner:
                 world = checkout_world(self.config, self.snapshot_dir)
                 try:
                     dataset = run_scheduled(
-                        world, schedule, progress=progress, batch=self.batch,
+                        world, schedule, progress=progress,
                         seen_https=seen_https, scenario=self.scenario,
                         answer_cache=self.answer_cache,
                     )
@@ -377,7 +365,7 @@ class ParallelCampaignRunner:
                 # (pooling would pin it for the process lifetime).
                 dataset = run_scheduled(
                     World(self.config), schedule,
-                    progress=progress, batch=self.batch, seen_https=seen_https,
+                    progress=progress, seen_https=seen_https,
                     scenario=self.scenario, answer_cache=self.answer_cache,
                 )
             self.run_stats = dataset.run_stats
@@ -389,7 +377,7 @@ class ParallelCampaignRunner:
                     _scan_shard,
                     (
                         self.config, schedule, self.workers, index,
-                        self.batch, self.snapshot_dir, seen_https, self.scenario,
+                        self.snapshot_dir, seen_https, self.scenario,
                         self.answer_cache,
                     ),
                 )
@@ -449,7 +437,7 @@ class ParallelCampaignRunner:
         args = {
             index: (
                 self.config, schedule, self.workers, index,
-                self.batch, self.snapshot_dir, seen, self.scenario,
+                self.snapshot_dir, seen, self.scenario,
                 self.answer_cache,
             )
             for index in indices
@@ -553,7 +541,7 @@ class ParallelCampaignRunner:
                 (
                     _scan_ns_shard,
                     (
-                        self.config, frozen, self.batch, self.snapshot_dir,
+                        self.config, frozen, self.snapshot_dir,
                         self.scenario, self.answer_cache,
                     ),
                 )
@@ -599,7 +587,7 @@ class ParallelCampaignRunner:
                 (
                     _scan_ech_shard,
                     (
-                        self.config, frozen, self.batch, self.snapshot_dir,
+                        self.config, frozen, self.snapshot_dir,
                         self.scenario, self.answer_cache,
                     ),
                 )

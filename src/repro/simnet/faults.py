@@ -77,11 +77,10 @@ Every stochastic choice is a pure function through
 :mod:`repro.simnet.determinism` of (config seed, spec salt, query
 coordinates, delivery attempt); nothing reads wall clocks or ambient
 randomness. Same seed + same schedule ⇒ value-equal datasets across
-serial, batched, sharded, and continuous execution — drop decisions key
-on the delivery *attempt* carried by
-:class:`~repro.resolver.recursive.UpstreamQuery`, so batch coalescing
-(which changes how many duplicate sends hit the wire) cannot change any
-outcome.
+serial, sharded, and continuous execution — drop decisions key on the
+delivery *attempt* the resolver passes to
+:meth:`~repro.resolver.network.Network.send_dns_query`, so a retry is
+a fresh draw while a replayed query loses exactly what it lost before.
 
 Worlds are never snapshotted with faults armed:
 :meth:`~repro.simnet.world.World.reset` — called by the snapshot

@@ -295,8 +295,7 @@ class World:
     def __init__(self, config: Optional[SimConfig] = None):
         # Construction allocates the bulk of an immortal object graph
         # (profiles, zones, signatures); pause the cyclic GC so the
-        # allocation churn cannot trigger full-heap passes mid-build
-        # (same rationale as the per-batch pause in resolver/batch.py).
+        # allocation churn cannot trigger full-heap passes mid-build.
         with paused_gc():
             self._build(config)
 
@@ -366,10 +365,8 @@ class World:
         self.zone_body_reuses = 0
         for resolver in (self.google_resolver, self.cloudflare_resolver):
             resolver.reset()
-        # Drop the batch scheduler (it holds per-run coalescing counters)
-        # and zero the transport counters so RunStats.of_world reports
-        # only the next run's work.
-        self.stub.batch = None
+        # Zero the transport counters so RunStats.of_world reports only
+        # the next run's work.
         self.network.dns_query_count = 0
         self.network.tcp_connect_count = 0
 

@@ -1,11 +1,8 @@
 """Unified Study API: declarative StudySpec/ExecutionPlan facade over the
 measurement campaign machinery.
 
-Four generations of capability (sharding, batching, world snapshots,
-continuous collection) accreted onto ``load_or_run_campaign`` as
-positional knobs, duplicated as ``repro-scan`` flags and ``REPRO_*``
-bench env vars. This module replaces that kwarg-threaded surface with
-three objects:
+Library callers, ``repro-scan`` flags and the ``REPRO_*`` bench env vars
+all describe a study through three objects:
 
 * :class:`StudySpec` — **what** is measured. The world
   :class:`~repro.simnet.config.SimConfig` plus the schedule knobs
@@ -14,7 +11,7 @@ three objects:
   the canonical cache tag: two studies with equal specs share a cached
   dataset, and nothing outside the spec may influence the tag.
 
-* :class:`ExecutionPlan` — **how** it runs. Workers, batching, the
+* :class:`ExecutionPlan` — **how** it runs. Workers, the
   world-snapshot cache, GC policy, cache/checkpoint/release directories,
   and the continuous partitioning. Every plan knob is guaranteed not to
   change the resulting dataset (the continuous knobs do join the cache
@@ -28,9 +25,9 @@ three objects:
   ``resume()``, ``dataset()``, ``export(dir)``, ``release(tag)``, and
   ``close()`` (also usable as a context manager).
 
-Migrating from the old kwarg surface::
+Where each knob lives::
 
-    old load_or_run_campaign kwarg        new home
+    knob                                  home
     ------------------------------------  --------------------------------
     config                                StudySpec.config
     day_step                              StudySpec.day_step
@@ -40,20 +37,18 @@ Migrating from the old kwarg surface::
     with_dnssec_snapshot                  StudySpec.with_dnssec_snapshot
     cache_dir                             ExecutionPlan.cache_dir
     workers                               ExecutionPlan.workers
-    batch                                 ExecutionPlan.batch
     snapshot_dir                          ExecutionPlan.snapshot_dir
     continuous                            ExecutionPlan.continuous
     checkpoint_dir                        ExecutionPlan.checkpoint_dir
     days_per_increment                    ExecutionPlan.days_per_increment
     max_increments                        ExecutionPlan.max_increments
-    verbose                               Study.run(progress=...)
-    REPRO_WORKERS/BATCH/SNAPSHOT/...      ExecutionPlan.from_env()
+    progress output                       Study.run(progress=...)
+    REPRO_WORKERS/SNAPSHOT/...            ExecutionPlan.from_env()
 
-Unknown field names raise ``TypeError`` at construction (the old
-``**kwargs`` surface silently accepted — and cache-keyed — misspelled
-options). ``load_or_run_campaign`` survives as a thin deprecation shim
-that builds a ``Study``; its cache paths are byte-identical to the
-pre-facade keys, so existing ``.cache`` entries keep hitting.
+Unknown field names raise ``TypeError`` at construction, so a
+misspelled option can never be silently cache-keyed. Cache paths keep
+the pre-facade key construction byte for byte (pinned by the golden-tag
+tests), so existing ``.cache`` entries keep hitting.
 
 **Releases.** :meth:`Study.release` completes the paper's "collect and
 release periodically" loop: it snapshots the study's merged dataset and
@@ -188,8 +183,8 @@ class StudySpec:
         *extra* lets the execution layer append key-separating knobs
         (the continuous partitioning) without owning a second tag
         derivation — this method remains the single source. The
-        construction is byte-identical to the pre-facade
-        ``load_or_run_campaign`` key, so existing cache entries survive.
+        construction is byte-identical to the pre-facade cache key,
+        so existing cache entries survive.
         """
         tag_kwargs = self.schedule_overrides()
         # An empty schedule is the fault-free study: it stays out of the
@@ -210,7 +205,7 @@ class StudySpec:
 class ExecutionPlan:
     """How a study runs: knobs guaranteed not to change the dataset.
 
-    ``workers``/``batch``/``snapshot_dir``/``executor``/``gc_policy``
+    ``workers``/``snapshot_dir``/``executor``/``gc_policy``
     trade wall-clock for resources; ``continuous`` +
     ``days_per_increment``/``max_increments``/``checkpoint_dir`` run the
     campaign as resumable (day-slice × domain-shard) increments against
@@ -224,11 +219,10 @@ class ExecutionPlan:
     """
 
     workers: int = 1
-    batch: bool = False
     snapshot_dir: Optional[str] = None
     executor: str = "process"
     # "auto" leaves collection to the targeted pauses inside the
-    # machinery (world build, snapshot load, batch loops); "pause"
+    # machinery (world build, snapshot load); "pause"
     # additionally suspends cyclic GC for the whole run — fastest on
     # hosts with memory to spare, since full-heap passes over a built
     # World dominate small-campaign timings.
@@ -275,7 +269,7 @@ class ExecutionPlan:
     def from_env(cls, environ: Optional[Mapping[str, str]] = None, **overrides) -> "ExecutionPlan":
         """A plan absorbing the ``REPRO_*`` bench knobs.
 
-        Reads ``REPRO_WORKERS``, ``REPRO_BATCH``, ``REPRO_SNAPSHOT``
+        Reads ``REPRO_WORKERS``, ``REPRO_SNAPSHOT``
         (world snapshots under ``<cache_dir>/worlds``),
         ``REPRO_CONTINUOUS``, ``REPRO_ANSWER_CACHE`` (default on —
         unlike the other flags, absence keeps the cache armed), and
@@ -286,7 +280,6 @@ class ExecutionPlan:
         workers = env.get("REPRO_WORKERS")
         if workers:
             kwargs["workers"] = int(workers)
-        kwargs["batch"] = _env_flag(env, "REPRO_BATCH")
         kwargs["continuous"] = _env_flag(env, "REPRO_CONTINUOUS")
         kwargs["answer_cache"] = (
             str(env.get("REPRO_ANSWER_CACHE", "1")).lower() in ("1", "true", "yes", "on")
@@ -564,7 +557,6 @@ class Study:
                 self.spec.config,
                 workers=self.plan.workers,
                 executor=self.plan.executor,
-                batch=self.plan.batch,
                 snapshot_dir=self.plan.snapshot_dir,
                 schedule=self.schedule,
                 keep_alive=True,
@@ -581,7 +573,6 @@ class Study:
                 workers=self.plan.workers,
                 day_step=self.spec.day_step,
                 days_per_increment=self.plan.days_per_increment,
-                batch=self.plan.batch,
                 snapshot_dir=self.plan.snapshot_dir,
                 executor=self.plan.executor,
                 keep_alive=True,

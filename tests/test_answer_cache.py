@@ -4,7 +4,7 @@ wire-byte caches) — PR 9.
 The headline guarantee: arming the cache changes walltime and the
 fast-path counters, *nothing else*. Every suite here pins one face of
 that claim — dataset value-equality against a cache-off run under
-serial, batched, wire-mode, sharded, continuous kill+resume, and chaos
+serial, wire-mode, sharded, continuous kill+resume, and chaos
 execution; per-server ``query_log`` / ``dns_query_count`` identity (the
 cache sits behind logging and the fault hook); lifecycle hygiene
 (``World.reset()`` and campaign cleanup leave no armed or stale state
@@ -117,8 +117,8 @@ class TestWireModeEquivalence:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        off = run_logged(WIRE_CONFIG, False, batch=True, **ECH_KWARGS)
-        on = run_logged(WIRE_CONFIG, True, batch=True, **ECH_KWARGS)
+        off = run_logged(WIRE_CONFIG, False, **ECH_KWARGS)
+        on = run_logged(WIRE_CONFIG, True, **ECH_KWARGS)
         return off, on
 
     def test_datasets_value_equal(self, pair):
@@ -137,7 +137,7 @@ class TestWireModeEquivalence:
         """Cross-check against the non-wire cached run: the codec plus
         both byte-level caches still change nothing."""
         _, (ds_on, _, _) = pair
-        plain = run_campaign(World(CONFIG), answer_cache=True, batch=True, **ECH_KWARGS)
+        plain = run_campaign(World(CONFIG), answer_cache=True, **ECH_KWARGS)
         assert ds_on == plain
 
 
@@ -147,11 +147,6 @@ class TestExecutionModeEquivalence:
     @pytest.fixture(scope="class")
     def serial_off(self):
         return run_campaign(World(CONFIG), answer_cache=False, **ECH_KWARGS)
-
-    def test_batched(self, serial_off):
-        assert run_campaign(
-            World(CONFIG), answer_cache=True, batch=True, **ECH_KWARGS
-        ) == serial_off
 
     def test_sharded(self, serial_off):
         parallel = ParallelCampaignRunner(

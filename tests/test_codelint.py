@@ -637,25 +637,17 @@ class TestProjectMutations:
 
 
 class TestProjectSuppressions:
-    def test_campaign_shim_suppression_is_annotated_and_load_bearing(self):
-        """The one intentional LAYER01 in today's tree: the deprecated
-        load_or_run_campaign shim wraps the Study facade one layer up.
-        The suppression must exist, carry its reason, and be the only
-        thing keeping the finding quiet."""
-        campaign_py = os.path.join(SRC, "repro", "scanner", "campaign.py")
-        with open(campaign_py) as handle:
-            source = handle.read()
-        assert "# codelint: disable=LAYER01" in source
-        assert "Deliberate upward import" in source  # the reason annotation
-        clean = project_findings([parse_source(campaign_py)])
-        assert [f for f in clean if f.code == "LAYER01"] == []
-        mutated = source.replace("  # codelint: disable=LAYER01", "")
-        assert mutated != source
-        findings = project_findings([parse_source(campaign_py, text=mutated)])
-        assert any(
-            f.code == "LAYER01" and "repro.study" in f.message
-            for f in findings
-        ), findings
+    def test_src_carries_no_layer01_suppression(self):
+        """Every import in src/ follows the layer order outright: no
+        line silences LAYER01."""
+        suppressed = []
+        for path in iter_python_files([SRC]):
+            with open(path) as handle:
+                for lineno, line in enumerate(handle, 1):
+                    match = re.search(r"codelint:\s*disable=([\w, -]*)", line)
+                    if match and "LAYER01" in match.group(1):
+                        suppressed.append(f"{path}:{lineno}")
+        assert suppressed == []
 
     def test_project_finding_suppressible_on_its_line(self):
         text = (

@@ -23,7 +23,6 @@ from repro.scanner import (
     canonical_cache_tag,
     fold_slice,
     load_checkpoint_dataset,
-    load_or_run_campaign,
     merge_shard_datasets,
     run_campaign,
     slice_schedule,
@@ -31,6 +30,7 @@ from repro.scanner import (
 from repro.simnet import SimConfig, World, timeline
 from repro.simnet.faults import FaultSchedule, FaultSpec
 from repro.simnet.providers import PROVIDERS
+from repro.study import ExecutionPlan, Study, StudySpec
 
 POPULATION = 120
 CONFIG = SimConfig(population=POPULATION)
@@ -372,16 +372,17 @@ class TestCacheTagIsolation:
             dict(base, continuous=True, days_per_increment=7)
         ) != canonical_cache_tag(dict(base, continuous=True, days_per_increment=3))
 
-    def test_load_or_run_keeps_separate_cache_entries(self, tmp_path):
-        config = SimConfig(population=60)
-        kwargs = dict(TINY_KWARGS, end=datetime.date(2023, 7, 10))
-        one_shot = load_or_run_campaign(config, cache_dir=str(tmp_path), **kwargs)
+    def test_study_keeps_separate_cache_entries(self, tmp_path):
+        spec = StudySpec(
+            SimConfig(population=60), **dict(TINY_KWARGS, end=datetime.date(2023, 7, 10))
+        )
+        with Study(spec, ExecutionPlan(cache_dir=str(tmp_path))) as study:
+            one_shot = study.run()
         datasets = [p for p in tmp_path.iterdir() if p.name.endswith(".pkl.gz")]
         assert len(datasets) == 1
-        continuous = load_or_run_campaign(
-            config, cache_dir=str(tmp_path), continuous=True,
-            days_per_increment=1, **kwargs
-        )
+        plan = ExecutionPlan(cache_dir=str(tmp_path), continuous=True, days_per_increment=1)
+        with Study(spec, plan) as study:
+            continuous = study.run()
         assert continuous == one_shot
         datasets = [p for p in tmp_path.iterdir() if p.name.endswith(".pkl.gz")]
         assert len(datasets) == 2, "continuous run must not reuse the one-shot entry"

@@ -122,7 +122,7 @@ class TestEchOverlapDedupe:
 
 class TestRunStatsRollUp:
     """Regression: merge_datasets used to silently drop run_stats, so a
-    long collection reported no transport/coalescing totals at all."""
+    long collection reported no transport or fault totals at all."""
 
     @staticmethod
     def _dataset_with_stats(stats):
@@ -135,11 +135,11 @@ class TestRunStatsRollUp:
     def test_stats_sum_across_slices(self):
         merged = merge_datasets([
             self._dataset_with_stats({"dns_queries": 10, "tcp_connects": 2}),
-            self._dataset_with_stats({"dns_queries": 5, "coalesced_queries": 3}),
+            self._dataset_with_stats({"dns_queries": 5, "retries": 3}),
         ])
         assert merged.run_stats.dns_queries == 15
         assert merged.run_stats.tcp_connects == 2
-        assert merged.run_stats.coalesced_queries == 3
+        assert merged.run_stats.retries == 3
 
     def test_slices_without_stats_are_tolerated(self):
         merged = merge_datasets([

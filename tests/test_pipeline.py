@@ -15,13 +15,13 @@ from repro.scanner import (
     ParallelCampaignRunner,
     ShardPlan,
     canonical_cache_tag,
-    load_or_run_campaign,
     merge_shard_datasets,
     run_campaign,
 )
 from repro.scanner.dataset import DailySnapshot
 from repro.scanner.incremental import DatasetMergeError
 from repro.simnet import SimConfig, World
+from repro.study import ExecutionPlan, Study, StudySpec
 
 POPULATION = 150
 CONFIG = SimConfig(population=POPULATION)
@@ -217,10 +217,13 @@ class TestCacheTag:
             with_ech_hourly=False,
             with_dnssec_snapshot=False,
         )
-        config = SimConfig(population=60)
-        first = load_or_run_campaign(config, cache_dir=str(tmp_path), **kwargs)
+        spec = StudySpec(SimConfig(population=60), **kwargs)
+        with Study(spec, ExecutionPlan(cache_dir=str(tmp_path))) as study:
+            first = study.run()
         cached = list(tmp_path.iterdir())
         assert len(cached) == 1
-        again = load_or_run_campaign(config, cache_dir=str(tmp_path), workers=4, **kwargs)
+        with Study(spec, ExecutionPlan(cache_dir=str(tmp_path), workers=4)) as study:
+            again = study.run()
+        assert again.loaded_from_cache
         assert list(tmp_path.iterdir()) == cached
         assert again == first

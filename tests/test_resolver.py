@@ -11,6 +11,7 @@ from repro.resolver.clock import SimClock
 from repro.resolver.network import HostUnreachable, Network, PortClosed
 from repro.resolver.recursive import RecursiveResolver
 from repro.resolver.stub import ResolverFrontend, StubResolver
+from repro.simnet import SimConfig, World
 from repro.zones.tree import ZoneTree
 from repro.zones.zone import Zone
 
@@ -283,3 +284,36 @@ class TestNetwork:
         network.unregister_tcp("1.1.1.1", 443)
         with pytest.raises(PortClosed):
             network.connect_tcp("1.1.1.1", 443)
+
+
+class TestNegativeTtlConfig:
+    def test_resolver_honours_negative_ttl(self):
+        network, clock, resolver, _tree = build_internet()
+        resolver.negative_ttl = 5
+        # NODATA answer with no SOA floor below negative_ttl: craft by
+        # querying a name whose zone returns NODATA; SOA minimum caps it,
+        # so exercise the bogus/SERVFAIL path instead, which always uses
+        # negative_ttl.
+        _n, _c, signed_resolver, tree = build_internet(sign=True)
+        signed_resolver.negative_ttl = 5
+        zone = tree.get_zone(Name.from_text("example.com."))
+        zone.corrupt_signature(Name.from_text("example.com."), rdtypes.HTTPS)
+        assert signed_resolver.resolve("example.com.", rdtypes.HTTPS).rcode == rdtypes.SERVFAIL
+        count = signed_resolver.network.dns_query_count
+        # Within the negative TTL the SERVFAIL is served from cache...
+        assert signed_resolver.resolve("example.com.", rdtypes.HTTPS).rcode == rdtypes.SERVFAIL
+        assert signed_resolver.network.dns_query_count == count
+        # ...and once it lapses the resolver re-queries upstream.
+        signed_resolver.clock.advance(6)
+        signed_resolver.resolve("example.com.", rdtypes.HTTPS)
+        assert signed_resolver.network.dns_query_count > count
+
+    def test_simconfig_threads_negative_ttl_to_world_resolvers(self):
+        world = World(SimConfig(population=30, negative_ttl=123))
+        assert world.google_resolver.negative_ttl == 123
+        assert world.cloudflare_resolver.negative_ttl == 123
+
+    def test_default_matches_previous_constant(self):
+        assert SimConfig().negative_ttl == 60
+        network = Network()
+        assert RecursiveResolver("r", network, []).negative_ttl == 60

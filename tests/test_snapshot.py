@@ -280,7 +280,6 @@ class TestWorldReset:
         assert not world.google_resolver._delegation_cache
         assert not world._zone_cache
         assert world.network.dns_query_count == 0
-        assert world.stub.batch is None
         # The world accepts early dates again.
         world.set_time(datetime.date(2023, 5, 10))
 

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees: the canonical cache tag is pinned (the
 facade cannot orphan pre-existing ``.cache`` entries — golden-tag test),
-the ``load_or_run_campaign`` shim is dataset- and cache-path-equivalent
-to ``Study.run()``, typo'd knobs raise ``TypeError`` instead of being
+a second ``Study`` over the same spec reuses the first one's cache entry
+or checkpoint, typo'd knobs raise ``TypeError`` instead of being
 silently cache-keyed, corrupt caches warn before rebuilding, and the
 continuous lifecycle (run → interrupt → ``resume()`` → ``release()``)
 produces a validated release of a dataset value-equal to the one-shot
@@ -22,7 +22,6 @@ from repro.scanner import (
     CheckpointError,
     CollectionInterrupted,
     canonical_cache_tag,
-    load_or_run_campaign,
     run_campaign,
 )
 from repro.simnet import SimConfig, World
@@ -62,7 +61,7 @@ def one_shot_full():
 # cache-tag identity
 # ---------------------------------------------------------------------------
 
-# The exact tag + cache filename the pre-facade load_or_run_campaign
+# The exact tag + cache filename the pre-facade campaign function
 # produced for (SimConfig(population=60), day_step=14) with no schedule
 # overrides. If either assertion below ever fails, existing .cache
 # entries (and continuous checkpoints) have been orphaned — that is a
@@ -128,7 +127,7 @@ class TestCacheTagGolden:
         tuned = Study(
             spec,
             ExecutionPlan(
-                cache_dir=str(tmp_path), workers=4, batch=True,
+                cache_dir=str(tmp_path), workers=4,
                 snapshot_dir=str(tmp_path / "worlds"), gc_policy="pause",
             ),
         )
@@ -148,13 +147,6 @@ class TestValidation:
     def test_plan_rejects_unknown_fields(self):
         with pytest.raises(TypeError):
             ExecutionPlan(wrokers=2)
-
-    def test_shim_rejects_typoed_knobs(self):
-        """Regression: the old **kwargs surface silently accepted and
-        cache-keyed misspelled options."""
-        with pytest.raises(TypeError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            load_or_run_campaign(TINY_CONFIG, eck_sample=40)
 
     def test_spec_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -209,14 +201,12 @@ class TestPlanFromEnv:
         plan = ExecutionPlan.from_env(
             {
                 "REPRO_WORKERS": "3",
-                "REPRO_BATCH": "1",
                 "REPRO_SNAPSHOT": "yes",
                 "REPRO_GC": "pause",
             },
             cache_dir="/bench/cache",
         )
         assert plan.workers == 3
-        assert plan.batch is True
         assert plan.continuous is False
         assert plan.gc_policy == "pause"
         assert plan.snapshot_dir == os.path.join("/bench/cache", "worlds")
@@ -238,38 +228,34 @@ class TestPlanFromEnv:
 
 
 # ---------------------------------------------------------------------------
-# shim equivalence
+# cache reuse across sessions
 # ---------------------------------------------------------------------------
 
 
-class TestShimEquivalence:
+class TestCacheReuse:
     def test_one_shot_dataset_and_cache_path(self, tmp_path):
-        with pytest.deprecated_call():
-            via_shim = load_or_run_campaign(
-                TINY_CONFIG, cache_dir=str(tmp_path), **TINY
-            )
-        [cache_file] = list(tmp_path.iterdir())
         spec = StudySpec(TINY_CONFIG, **TINY)
+        with Study(spec, ExecutionPlan(cache_dir=str(tmp_path))) as study:
+            first = study.run()
+        [cache_file] = list(tmp_path.iterdir())
+        assert first == run_campaign(World(TINY_CONFIG), **TINY)
         with Study(spec, ExecutionPlan(cache_dir=str(tmp_path))) as study:
             assert study.cache_path == str(cache_file)
             dataset = study.run()
-        assert dataset == via_shim
-        assert dataset.loaded_from_cache, "study must reuse the shim's cache entry"
+        assert dataset == first
+        assert dataset.loaded_from_cache, "study must reuse the first run's cache entry"
         assert list(tmp_path.iterdir()) == [cache_file]
 
     def test_continuous_key_and_checkpoint_path(self, tmp_path):
-        with pytest.deprecated_call():
-            via_shim = load_or_run_campaign(
-                TINY_CONFIG, cache_dir=str(tmp_path),
-                continuous=True, days_per_increment=1, **TINY
-            )
         spec = StudySpec(TINY_CONFIG, **TINY)
         plan = ExecutionPlan(
             cache_dir=str(tmp_path), continuous=True, days_per_increment=1
         )
         with Study(spec, plan) as study:
+            first = study.run()
+        with Study(spec, plan) as study:
             # Byte-identical continuous keys: the study points at the
-            # exact checkpoint directory the shim run laid down ...
+            # exact checkpoint directory the first run laid down ...
             assert os.path.isdir(study.checkpoint_dir)
             # ... and at a cache entry separate from the one-shot key.
             one_shot_path = Study(
@@ -277,7 +263,7 @@ class TestShimEquivalence:
             ).cache_path
             assert study.cache_path != one_shot_path
             dataset = study.run()
-        assert dataset == via_shim
+        assert dataset == first
         assert dataset.loaded_from_cache
 
 
