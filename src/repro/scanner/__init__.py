@@ -17,7 +17,13 @@ from .collector import (
     Increment,
     load_checkpoint_dataset,
 )
-from .dataset import DailySnapshot, Dataset, cache_path, checkpoint_dir_path
+from .dataset import (
+    DailySnapshot,
+    Dataset,
+    DatasetFileError,
+    cache_path,
+    checkpoint_dir_path,
+)
 from .incremental import (
     DatasetMergeError,
     continuation_window,
@@ -58,6 +64,7 @@ __all__ = [
     "merge_datasets",
     "DailySnapshot",
     "Dataset",
+    "DatasetFileError",
     "cache_path",
     "checkpoint_dir_path",
     "ScanEngine",

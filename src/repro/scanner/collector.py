@@ -36,9 +36,10 @@ value-equal to a one-shot run.
 
 **Checkpointing.** Every completed increment's part dataset is persisted
 and journalled under the checkpoint directory, and every completed
-day-slice updates the merged longitudinal dataset (atomically — temp
-file + rename); an interrupted collection therefore resumes exactly
-where it stopped instead of restarting. The checkpoint is versioned and
+day-slice updates the merged longitudinal dataset (atomically, as every
+:meth:`~repro.scanner.dataset.Dataset.save` writes); an interrupted
+collection therefore resumes exactly where it stopped instead of
+restarting. The checkpoint is versioned and
 identity-checked: a checkpoint written by a different code version,
 world config, shard count, or increment partitioning raises
 :class:`CheckpointError` rather than silently mixing incompatible
@@ -71,7 +72,7 @@ from ..simnet.config import SimConfig
 from ..simnet.faults import FaultSchedule
 from ..simnet.snapshot import code_fingerprint, world_tag
 from .campaign import build_schedule, slice_schedule
-from .dataset import Dataset
+from .dataset import Dataset, DatasetFileError
 from .incremental import fold_slice
 from .pipeline import ParallelCampaignRunner, merge_shard_datasets
 
@@ -217,7 +218,7 @@ class CheckpointStore:
         path = os.path.join(self.directory, rel)
         try:
             return Dataset.load(path)
-        except Exception as exc:  # missing/corrupt part: treat as not done
+        except (OSError, DatasetFileError) as exc:  # missing/corrupt part: treat as not done
             # The journal promised this file; say why the increment is
             # re-running instead of silently repeating the work.
             warnings.warn(
@@ -275,7 +276,7 @@ class CheckpointStore:
             return Dataset.load(self._merged_path)
         except FileNotFoundError:  # fresh checkpoint: no fold yet
             return None
-        except (OSError, EOFError, TypeError) as exc:
+        except (OSError, DatasetFileError) as exc:
             warnings.warn(
                 f"ignoring unreadable merged dataset {self._merged_path}: "
                 f"{exc} (the fold restarts from the journalled parts)",
@@ -285,11 +286,9 @@ class CheckpointStore:
             return None
 
     def save_merged(self, dataset: Dataset) -> None:
-        """Atomic update of the longitudinal dataset: a crash mid-write
-        leaves the previous fold intact, never a torn file."""
-        tmp = f"{self._merged_path}.tmp.{os.getpid()}"
-        dataset.save(tmp)
-        os.replace(tmp, self._merged_path)
+        """Update the longitudinal dataset. The save is atomic: a crash
+        mid-write leaves the previous fold intact, never a torn file."""
+        dataset.save(self._merged_path)
 
 
 class ContinuousCollector:
@@ -406,7 +405,10 @@ class ContinuousCollector:
 
     def pending_increments(self) -> List[Increment]:
         """Increments not yet completed (journalled), in execution order."""
-        merged = self.store.load_merged()
+        return self._pending(self.store.load_merged())
+
+    def _pending(self, merged: Optional[Dataset]) -> List[Increment]:
+        """:meth:`pending_increments` against the fold *merged*."""
         folded = set() if merged is None else set(merged.snapshots)
         pending: List[Increment] = []
         for k, slice_days in enumerate(self.slices):
@@ -487,7 +489,7 @@ class ContinuousCollector:
                         f"({slice_days[0]}..{slice_days[-1]})"
                     )
             if len(runnable) < len(pending):
-                raise CollectionInterrupted(executed, len(self.pending_increments()))
+                raise CollectionInterrupted(executed, len(self._pending(merged)))
             slice_dataset = merge_shard_datasets(
                 [by_shard[i] for i in range(self.workers)]
             )
@@ -520,7 +522,9 @@ def has_checkpoint(checkpoint_dir: str) -> bool:
 
 def load_checkpoint_dataset(checkpoint_dir: str) -> Dataset:
     """The longitudinal dataset folded so far under *checkpoint_dir*
-    (complete or not). Raises ``OSError`` when no fold has happened yet —
-    release tooling and the CI resume smoke load their result this way
-    without reconstructing a collector."""
+    (complete or not). Release tooling and the CI resume smoke load
+    their result this way without reconstructing a collector. Raises
+    ``OSError`` when no fold has happened yet and
+    :class:`~repro.scanner.dataset.DatasetFileError` when the fold is
+    corrupt."""
     return Dataset.load(os.path.join(checkpoint_dir, _MERGED))

@@ -3,17 +3,40 @@
 Mirrors the paper's data layout (Table 1): daily domain scans, the
 SOA/NS window, the NS-IP/WHOIS window, hourly ECH scans, the
 connectivity experiment, and the DNSSEC validation snapshot.
+
+File format (the dataset cache, checkpoint parts, the merged fold and
+release snapshots all go through :meth:`Dataset.save`/:meth:`Dataset.load`):
+one gzip member holding a protocol-4 pickle of the :class:`Dataset`.
+
+* The gzip level is ``_LEVEL``: the lowest level whose file is within 5%
+  of level 9's size, chosen from the sweep in
+  ``bench_results/BENCH_dataset_codec.json``.
+* The gzip header's mtime is zero, so equal datasets give equal files.
+* Pickling and unpickling run with the cyclic collector paused
+  (:func:`~repro.gcutils.paused_gc`).
+* The write is atomic: the bytes go to a temporary file in the target
+  directory, which then replaces the target (``os.replace``). A crash
+  mid-save leaves the previous file as it was.
+* The load decompresses the whole file, which checks the gzip CRC-32
+  and length trailer, before unpickling anything. A file that does not
+  decode to a :class:`Dataset` (bit rot, truncation, a foreign pickle)
+  raises :class:`DatasetFileError`; a missing file raises
+  ``FileNotFoundError``. No corrupt file loads as some other dataset.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import gzip
 import hashlib
 import os
 import pickle
+import threading
+import zlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..gcutils import paused_gc
 from ..simnet import timeline
 from .records import (
     ConnectivityProbe,
@@ -24,6 +47,11 @@ from .records import (
 )
 
 _PICKLE_PROTOCOL = 4
+_LEVEL = 6
+
+
+class DatasetFileError(Exception):
+    """A dataset file exists but does not decode to a :class:`Dataset`."""
 
 
 class DailySnapshot(_SlotsEqualityMixin):
@@ -264,16 +292,47 @@ class Dataset:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write this dataset to *path* atomically (see the module
+        docstring for the format)."""
+        # The pickler's memo keeps every temporary it builds (reduce
+        # tuples, slot-state dicts) alive until it returns, and all of it
+        # is freed by refcount then; collection passes meanwhile would
+        # only re-walk it.
+        with paused_gc():
+            payload = pickle.dumps(self, protocol=_PICKLE_PROTOCOL)
+        blob = gzip.compress(payload, compresslevel=_LEVEL, mtime=0)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with gzip.open(path, "wb") as handle:
-            pickle.dump(self, handle, protocol=_PICKLE_PROTOCOL)
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
-        with gzip.open(path, "rb") as handle:
-            dataset = pickle.load(handle)
+        """Read the dataset at *path*. Raises ``FileNotFoundError`` when
+        there is no file and :class:`DatasetFileError` when the file does
+        not decode to a dataset."""
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        try:
+            payload = gzip.decompress(blob)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise DatasetFileError(f"{path} is not an intact gzip file: {exc!r}") from exc
+        try:
+            # A dataset is a large graph of small objects, all reachable
+            # from the result; collection passes during the unpickle
+            # would only re-walk the half-built graph.
+            with paused_gc():
+                dataset = pickle.loads(payload)
+        except Exception as exc:  # a foreign or stale pickle can raise any type
+            raise DatasetFileError(f"{path} does not unpickle: {exc!r}") from exc
         if not isinstance(dataset, cls):
-            raise TypeError(f"{path} does not contain a Dataset")
+            raise DatasetFileError(f"{path} does not contain a Dataset")
         dataset.loaded_from_cache = True
         return dataset
 

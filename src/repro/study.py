@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from .gcutils import paused_gc
 from .scanner import campaign
 from .scanner.collector import ContinuousCollector, has_checkpoint
-from .scanner.dataset import Dataset, cache_path, checkpoint_dir_path
+from .scanner.dataset import Dataset, DatasetFileError, cache_path, checkpoint_dir_path
 from .scanner.incremental import coverage_gaps
 from .scanner.pipeline import ParallelCampaignRunner
 from .simnet.config import SimConfig
@@ -588,7 +588,7 @@ class Study:
             return Dataset.load(path)
         except FileNotFoundError:
             return None
-        except (OSError, EOFError, TypeError) as exc:
+        except (OSError, DatasetFileError) as exc:
             # A cache file that exists but will not load is worth a word
             # before the silent (expensive) rebuild overwrites it.
             warnings.warn(

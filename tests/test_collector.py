@@ -27,6 +27,7 @@ from repro.scanner import (
     run_campaign,
     slice_schedule,
 )
+from repro.scanner.collector import CheckpointStore
 from repro.simnet import SimConfig, World, timeline
 from repro.simnet.faults import FaultSchedule, FaultSpec
 from repro.simnet.providers import PROVIDERS
@@ -279,6 +280,37 @@ class TestResume:
         part.write_bytes(b"torn by a crash mid-write")
         resumed = _collector(tmp_path / "ckpt").collect()
         assert resumed == one_shot_ech
+
+    def test_bit_flipped_merged_fold_is_rebuilt(self, tmp_path):
+        first = _collector(tmp_path / "ckpt", kwargs=TINY_KWARGS).collect()
+        merged = tmp_path / "ckpt" / "merged.pkl.gz"
+        blob = bytearray(merged.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        merged.write_bytes(bytes(blob))
+        with pytest.warns(RuntimeWarning, match="unreadable merged dataset"):
+            rebuilt = _collector(tmp_path / "ckpt", kwargs=TINY_KWARGS).collect()
+        assert rebuilt == first
+        assert load_checkpoint_dataset(str(tmp_path / "ckpt")) == first
+
+    def test_interrupted_session_reads_the_fold_once(self, tmp_path, monkeypatch):
+        with pytest.raises(CollectionInterrupted):
+            _collector(tmp_path / "ckpt").collect(max_increments=2)  # folds slice 0
+        loads = []
+        load_merged = CheckpointStore.load_merged
+
+        def counting_load(store):
+            loads.append(store.directory)
+            return load_merged(store)
+
+        monkeypatch.setattr(CheckpointStore, "load_merged", counting_load)
+        collector = _collector(tmp_path / "ckpt")
+        with pytest.raises(CollectionInterrupted) as info:
+            collector.collect(max_increments=1)
+        assert len(loads) == 1
+        monkeypatch.undo()
+        assert info.value.executed == 1
+        assert info.value.remaining == collector.total_increments - 3
+        assert info.value.remaining == len(collector.pending_increments())
 
     def test_completed_checkpoint_returns_without_rescanning(self, tmp_path):
         collector = _collector(tmp_path / "ckpt", kwargs=TINY_KWARGS)

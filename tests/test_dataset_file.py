@@ -1,0 +1,135 @@
+"""Tests for the dataset file format (:meth:`Dataset.save`/:meth:`Dataset.load`).
+
+The load-bearing guarantee: a damaged dataset file either raises
+:class:`DatasetFileError` or loads as a dataset equal to the one saved —
+never as some other dataset. Plus: saves are atomic, deterministic, and
+files written by the older streaming writer still load.
+"""
+
+import datetime
+import gzip
+import os
+import pickle
+import random
+import threading
+
+import pytest
+
+from repro.scanner import Dataset, DatasetFileError, run_campaign
+from repro.scanner import dataset as dataset_module
+from repro.simnet import SimConfig, World
+
+TINY = dict(
+    day_step=60,
+    start=datetime.date(2023, 5, 8),
+    end=datetime.date(2023, 9, 30),
+    with_ech_hourly=False,
+    with_dnssec_snapshot=False,
+)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return run_campaign(World(SimConfig(population=120)), **TINY)
+
+
+@pytest.fixture()
+def saved(dataset, tmp_path):
+    path = str(tmp_path / "ds.pkl.gz")
+    dataset.save(path)
+    return path
+
+
+def _damaged_copies(blob, seed=16, flips=400, cuts=40):
+    """(label, bytes) pairs: seeded single-bit flips anywhere in *blob*,
+    seeded truncations, and two appended tails."""
+    rng = random.Random(seed)
+    for _ in range(flips):
+        pos, bit = rng.randrange(len(blob)), rng.randrange(8)
+        damaged = bytearray(blob)
+        damaged[pos] ^= 1 << bit
+        yield f"flip byte {pos} bit {bit}", bytes(damaged)
+    for _ in range(cuts):
+        cut = rng.randrange(len(blob))
+        yield f"truncate to {cut} bytes", blob[:cut]
+    yield "trailing NUL padding", blob + b"\0" * 8
+    yield "trailing garbage", blob + b"garbage"
+
+
+class TestRoundTrip:
+    def test_equal_datasets_give_equal_files(self, dataset, saved, tmp_path):
+        again = str(tmp_path / "again.pkl.gz")
+        dataset.save(again)
+        with open(saved, "rb") as first, open(again, "rb") as second:
+            blob = first.read()
+            assert blob == second.read()
+        assert blob[4:8] == b"\0\0\0\0"  # gzip header mtime
+
+    def test_streamed_file_from_older_writer_loads(self, dataset, tmp_path):
+        path = str(tmp_path / "old.pkl.gz")
+        with gzip.open(path, "wb") as handle:
+            pickle.dump(dataset, handle, protocol=4)
+        assert Dataset.load(path) == dataset
+
+
+class TestDamagedFiles:
+    def test_damage_never_loads_a_different_dataset(self, dataset, saved, tmp_path):
+        with open(saved, "rb") as handle:
+            blob = handle.read()
+        path = str(tmp_path / "damaged.pkl.gz")
+        silent, raised, equal = [], 0, 0
+        for label, damaged in _damaged_copies(blob):
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            try:
+                loaded = Dataset.load(path)
+            except DatasetFileError:
+                raised += 1
+                continue
+            if loaded == dataset:
+                equal += 1
+            else:
+                silent.append(label)
+        assert silent == []
+        # Only header fields the decoder ignores (mtime, OS, ...) and
+        # NUL padding may survive damage.
+        assert raised > 0.9 * (raised + equal)
+
+    def test_missing_file_is_not_a_file_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            Dataset.load(str(tmp_path / "absent.pkl.gz"))
+
+    def test_foreign_pickle_is_a_file_error(self, tmp_path):
+        path = str(tmp_path / "foreign.pkl.gz")
+        with open(path, "wb") as handle:
+            handle.write(gzip.compress(pickle.dumps({"not": "a dataset"})))
+        with pytest.raises(DatasetFileError, match="does not contain a Dataset"):
+            Dataset.load(path)
+
+
+class TestAtomicSave:
+    def test_failed_encode_keeps_previous_file(self, saved, tmp_path):
+        with open(saved, "rb") as handle:
+            before = handle.read()
+        broken = Dataset(120, "x", 60)
+        broken.run_stats = threading.Lock()  # unpicklable
+        with pytest.raises(TypeError):
+            broken.save(saved)
+        with open(saved, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["ds.pkl.gz"]
+
+    def test_failed_replace_leaves_no_temp_file(self, saved, tmp_path, monkeypatch):
+        with open(saved, "rb") as handle:
+            before = handle.read()
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataset_module.os, "replace", no_replace)
+        with pytest.raises(OSError, match="disk full"):
+            Dataset(120, "other", 60).save(saved)
+        monkeypatch.undo()
+        with open(saved, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["ds.pkl.gz"]

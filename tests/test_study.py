@@ -287,6 +287,20 @@ class TestCacheRobustness:
         assert not dataset.loaded_from_cache
         assert self._study(tmp_path).run().loaded_from_cache  # rebuild healed it
 
+    def test_bit_flipped_cache_warns_and_rebuilds(self, tmp_path):
+        first = self._study(tmp_path).run()
+        study = self._study(tmp_path)
+        with open(study.cache_path, "r+b") as handle:
+            blob = bytearray(handle.read())
+            blob[len(blob) // 2] ^= 0x01
+            handle.seek(0)
+            handle.write(blob)
+        with pytest.warns(RuntimeWarning, match="unreadable dataset cache"):
+            rebuilt = study.run()
+        assert not rebuilt.loaded_from_cache
+        assert rebuilt == first
+        assert self._study(tmp_path).run().loaded_from_cache  # rebuild healed it
+
     def test_wrong_payload_type_warns(self, tmp_path):
         study = self._study(tmp_path)
         with gzip.open(study.cache_path, "wb") as handle:
