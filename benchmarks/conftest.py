@@ -12,12 +12,9 @@ The dataset comes from a :class:`repro.study.Study`: the identity knobs
 form the :class:`~repro.study.StudySpec`, and
 :meth:`repro.study.ExecutionPlan.from_env` absorbs the execution knobs —
 ``REPRO_WORKERS`` (shard the campaign across N worker processes),
-``REPRO_SNAPSHOT`` (warm
-worker worlds from the on-disk snapshot cache under ``.cache/worlds``),
 ``REPRO_CONTINUOUS`` (build through the checkpointing continuous
-collector), ``REPRO_ANSWER_CACHE`` (the layered answer fast path —
-default on; set 0 to synthesize every upstream reply from scratch), and
-``REPRO_GC`` (``pause`` suspends cyclic GC for the whole run). The
+collector), and ``REPRO_ANSWER_CACHE`` (the layered answer fast path —
+default on; set 0 to synthesize every upstream reply from scratch). The
 dataset is identical under every knob combination.
 """
 

@@ -30,13 +30,13 @@ import shutil
 import tempfile
 import time
 
-from _results import env_flag, results_path
+from _results import results_path
 from repro.scanner import (
     CollectionInterrupted,
     ContinuousCollector,
     ParallelCampaignRunner,
 )
-from repro.simnet import SimConfig, world_registry
+from repro.simnet import SimConfig
 
 RESULTS_PATH = results_path("continuous_collect_walltime.txt")
 
@@ -57,36 +57,21 @@ def main() -> int:
                         help="domain shards (and worker-pool width)")
     parser.add_argument("--increment-days", type=int, default=3,
                         help="scan days per day-slice increment")
-    parser.add_argument("--executor", choices=("process", "thread"),
-                        default="process")
     parser.add_argument("--max-overhead", type=float, default=1.5,
                         help="allowed continuous/one-shot wall-clock ratio")
     args = parser.parse_args()
 
     config = SimConfig(population=args.population)
     kwargs = dict(day_step=args.day_step, ech_sample=args.ech_sample)
-    # REPRO_SNAPSHOT=1 (the bench-suite knob) persists world snapshots
-    # under the shared .cache; otherwise use a throwaway directory.
-    if env_flag("REPRO_SNAPSHOT"):
-        snapshot_dir = os.path.join(os.path.dirname(__file__), "..", ".cache", "worlds")
-        scratch_snapshots = None
-    else:
-        snapshot_dir = scratch_snapshots = tempfile.mkdtemp(prefix="repro-cc-snap-")
     scratch = tempfile.mkdtemp(prefix="repro-cc-ckpt-")
 
     def one_shot():
-        world_registry().clear()
-        return ParallelCampaignRunner(
-            config, workers=args.workers, executor=args.executor,
-            snapshot_dir=snapshot_dir, **kwargs
-        ).run()
+        return ParallelCampaignRunner(config, workers=args.workers, **kwargs).run()
 
     def continuous():
-        world_registry().clear()
         with ContinuousCollector(
             config, os.path.join(scratch, "straight"), workers=args.workers,
-            days_per_increment=args.increment_days, executor=args.executor,
-            snapshot_dir=snapshot_dir, **kwargs
+            days_per_increment=args.increment_days, **kwargs
         ) as collector:
             total = collector.total_increments
             return collector.collect(), total
@@ -95,15 +80,13 @@ def main() -> int:
         """Interrupt after every single increment and resume from the
         checkpoint with a fresh collector — the worst case a long-lived
         collection can hit (every increment pays a checkpoint reload)."""
-        world_registry().clear()
         checkpoint = os.path.join(scratch, "storm")
         sessions = 0
         while True:
             sessions += 1
             with ContinuousCollector(
                 config, checkpoint, workers=args.workers,
-                days_per_increment=args.increment_days, executor=args.executor,
-                snapshot_dir=snapshot_dir, **kwargs
+                days_per_increment=args.increment_days, **kwargs
             ) as collector:
                 try:
                     return collector.collect(max_increments=1), sessions
@@ -116,8 +99,6 @@ def main() -> int:
         storm_s, (resumed, sessions) = _timed(resume_storm)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-        if scratch_snapshots is not None:
-            shutil.rmtree(scratch_snapshots, ignore_errors=True)
 
     equal = collected == baseline and resumed == baseline
     overhead = continuous_s / oneshot_s if oneshot_s else float("inf")
@@ -128,7 +109,7 @@ def main() -> int:
         "Continuous collection: wall-clock vs the one-shot pipeline run",
         f"  population {config.population}, day_step {args.day_step}, "
         f"ech_sample {args.ech_sample}, workers {args.workers} "
-        f"({args.executor} executor)",
+        "(process pool)",
         f"  host CPU cores available: {os.cpu_count()}",
         "",
         f"  one-shot ParallelCampaignRunner:        {oneshot_s:8.1f} s",
@@ -141,8 +122,8 @@ def main() -> int:
         "",
         "  Continuous mode pays per-increment checkpointing (part + fold",
         "  writes) and per-slice NS/ECH stage scheduling on top of the",
-        "  one-shot pipeline; the warm worker pool and per-process world",
-        "  registries amortise warm-up across increments, so the straight",
+        "  one-shot pipeline; the warm worker pool and each process's idle",
+        "  world amortise warm-up across increments, so the straight",
         "  run should stay within the overhead bound. The resume storm",
         "  additionally reloads the checkpoint every increment — its",
         "  number is the ceiling on what interruptions can cost.",

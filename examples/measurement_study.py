@@ -11,7 +11,7 @@ The campaign is driven through the unified Study API
 (:mod:`repro.study`): a declarative :class:`~repro.study.StudySpec`
 names *what* is measured (world config + schedule — the dataset's cache
 identity) and an :class:`~repro.study.ExecutionPlan` names *how* it runs
-(workers, world snapshots, checkpointing — guaranteed not to change
+(workers, answer fast path, checkpointing — guaranteed not to change
 the result).
 
 Run:  python examples/measurement_study.py [population]
@@ -51,10 +51,9 @@ def continuous_walkthrough(spec: StudySpec, one_shot, workdir: str) -> None:
     ``release()`` publishes it."""
     plan = ExecutionPlan(
         continuous=True,
-        workers=2,                 # two domain shards on a warm thread pool
+        workers=2,                 # two domain shards on a warm process pool
         days_per_increment=3,      # three scan days per arriving day-slice
         max_increments=3,          # "crash" after three increments
-        executor="thread",
         cache_dir=os.path.join(workdir, "cache-continuous"),
         checkpoint_dir=os.path.join(workdir, "checkpoint"),
         release_dir=os.path.join(workdir, "releases"),

@@ -103,14 +103,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
                              "authoritative side (--no-answer-cache to "
                              "synthesize every reply from scratch; same "
                              "dataset either way)")
-    parser.add_argument("--snapshot-dir", metavar="DIR", default=None,
-                        help="directory for the world snapshot cache, so "
-                             "pipeline workers deserialize a pre-built signed "
-                             "world instead of reconstructing it "
-                             "(default: <cache-dir>/worlds)")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="disable the world snapshot cache (every worker "
-                             "rebuilds its world from scratch)")
     parser.add_argument("--continuous", action="store_true",
                         help="collect incrementally: day-slice × domain-shard "
                              "increments folded into a growing longitudinal "
@@ -168,12 +160,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
     from .scanner import CollectionInterrupted
     from .study import ExecutionPlan, Study, StudyError, StudySpec, validate_release
 
-    import os
-
-    snapshot_dir = None
-    if not args.no_snapshot:
-        snapshot_dir = args.snapshot_dir or os.path.join(args.cache_dir, "worlds")
-
     scenario = None
     if args.scenario is not None:
         from .simnet.faults import FaultSchedule
@@ -191,7 +177,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
     )
     plan = ExecutionPlan(
         workers=args.workers,
-        snapshot_dir=snapshot_dir,
         cache_dir=args.cache_dir,
         continuous=args.continuous,
         checkpoint_dir=args.checkpoint_dir,

@@ -8,7 +8,7 @@ Run as ``python -m repro.devtools.codelint [paths...]`` or
 * ``2`` — usage error / unreadable baseline / git failure
 
 One invocation runs both scopes: the per-file rules walk every path,
-then the project-scope rules (DET02/LAYER01/RACE01/DEAD01) run once
+then the project-scope rules (DET02/LAYER01/DEAD01) run once
 over the full parsed tree.  ``--changed[=REF]`` narrows the *report* to
 files changed versus a git ref while the project graph still covers the
 whole tree, so cross-module findings stay sound; ``--stats`` surfaces

@@ -3,8 +3,8 @@ intra-project call graph over every parsed :class:`SourceFile`.
 
 File-local AST rules (``rules.py``) cannot see a ``simnet/`` function
 that calls a helper which calls ``time.time()`` two modules away, an
-import that inverts the layering, or a cache written from a thread-pool
-worker defined elsewhere.  This module builds the shared cross-file
+import that inverts the layering, or a public symbol no other file
+mentions.  This module builds the shared cross-file
 model those analyses need; :mod:`.project_rules` consumes it.
 
 Resolution is **best-effort and never guesses**: a call is resolved
@@ -23,22 +23,11 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .engine import SourceFile
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-#: Containers whose in-place mutation from concurrent writers is a race.
-CONTAINER_CALLS = {
-    "dict", "list", "set", "OrderedDict", "defaultdict", "deque", "Counter",
-}
-
-_CONTAINER_LITERALS = (
-    ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
-)
-
-_LOCK_CALLS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
@@ -53,23 +42,6 @@ def dotted_chain(node: ast.AST) -> Optional[List[str]]:
         return None
     parts.append(node.id)
     return parts[::-1]
-
-
-def is_container_value(value: ast.AST) -> bool:
-    """Does *value* construct a mutable container (literal or call)?"""
-    if isinstance(value, _CONTAINER_LITERALS):
-        return True
-    if isinstance(value, ast.Call):
-        chain = dotted_chain(value.func)
-        return bool(chain) and chain[-1] in CONTAINER_CALLS
-    return False
-
-
-def _is_lock_value(value: ast.AST) -> bool:
-    if isinstance(value, ast.Call):
-        chain = dotted_chain(value.func)
-        return bool(chain) and chain[-1] in _LOCK_CALLS
-    return False
 
 
 @dataclass
@@ -119,7 +91,7 @@ class FunctionNode:
 
 @dataclass
 class ClassInfo:
-    """One class: method table, shared-state attributes, lock attributes."""
+    """One class: its method table and base classes."""
 
     qualname: str
     name: str
@@ -127,13 +99,6 @@ class ClassInfo:
     node: ast.ClassDef = field(repr=False)
     methods: Dict[str, str] = field(default_factory=dict)
     base_chains: List[List[str]] = field(default_factory=list)
-    #: container attrs: class-body assigns plus ``self.X = {...}`` in __init__.
-    container_attrs: Set[str] = field(default_factory=set)
-    #: attrs first assigned in __init__ (shared instance state, any type).
-    init_attrs: Set[str] = field(default_factory=set)
-    lock_attrs: Set[str] = field(default_factory=set)
-    #: module-level names bound to an instance of this class.
-    module_instances: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -149,18 +114,6 @@ class PublicSymbol:
     #: identifier tokens inside the symbol's own subtree (self-references
     #: such as recursion or docstrings never count as external use).
     own_refs: Counter = field(default_factory=Counter)
-
-
-@dataclass
-class ThreadRoot:
-    """A function handed to a thread: ``pool.submit(f)``, a
-    ``threading.Thread(target=f)``, or a function referenced by name in
-    a module that constructs a thread pool (indirect submission)."""
-
-    qualname: str
-    via: str
-    path: str
-    lineno: int
 
 
 class ProjectGraph:
@@ -179,11 +132,6 @@ class ProjectGraph:
         self.import_aliases: Dict[str, Dict[str, str]] = {}
         #: module → top-level name → qualname (functions and classes).
         self.module_scope: Dict[str, Dict[str, str]] = {}
-        #: module → module-level mutable container names.
-        self.module_containers: Dict[str, Dict[str, int]] = {}
-        #: module → module-level lock-valued names.
-        self.module_locks: Dict[str, Set[str]] = set_default_dict()
-        self.thread_roots: List[ThreadRoot] = []
         self.public_symbols: List[PublicSymbol] = []
         #: identifier tokens across all project + consumer sources.
         self.reference_counts: Counter = Counter()
@@ -281,12 +229,6 @@ class ProjectGraph:
         return None
 
 
-def set_default_dict() -> Dict[str, Set[str]]:
-    from collections import defaultdict
-
-    return defaultdict(set)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -354,39 +296,6 @@ def _module_imports(
     return aliases, raw
 
 
-def _class_shared_state(node: ast.ClassDef) -> Tuple[Set[str], Set[str], Set[str]]:
-    """(container attrs, __init__-assigned attrs, lock attrs) of a class."""
-    containers: Set[str] = set()
-    init_attrs: Set[str] = set()
-    locks: Set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if is_container_value(stmt.value):
-                        containers.add(target.id)
-                    if _is_lock_value(stmt.value):
-                        locks.add(target.id)
-    for stmt in node.body:
-        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name in ("__init__", "__new__")):
-            for sub in ast.walk(stmt):
-                if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                    continue
-                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                value = sub.value
-                for target in targets:
-                    if (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        init_attrs.add(target.attr)
-                        if value is not None and is_container_value(value):
-                            containers.add(target.attr)
-                        if value is not None and _is_lock_value(value):
-                            locks.add(target.attr)
-    return containers, init_attrs, locks
-
-
 def _identifier_tokens(tree: ast.AST) -> Iterator[str]:
     """Every identifier a file could be referring to something by: names,
     attribute accesses, import targets, keyword-argument names, and the
@@ -433,11 +342,9 @@ def _collect_definitions(graph: ProjectGraph, src: SourceFile) -> None:
                 visit(child, qual_stack + [child.name], None)
             elif isinstance(child, ast.ClassDef):
                 qualname = ".".join([module] + qual_stack + [child.name])
-                containers, init_attrs, locks = _class_shared_state(child)
                 info = ClassInfo(
                     qualname=qualname, name=child.name, module=module,
-                    node=child, container_attrs=containers,
-                    init_attrs=init_attrs, lock_attrs=locks,
+                    node=child,
                 )
                 for base in child.bases:
                     chain = dotted_chain(base)
@@ -449,39 +356,6 @@ def _collect_definitions(graph: ProjectGraph, src: SourceFile) -> None:
                 visit(child, qual_stack + [child.name], qualname)
 
     visit(src.tree, [], None)
-
-    # Module-level containers, locks, and class instantiations.
-    containers: Dict[str, int] = {}
-    for stmt in src.tree.body:
-        if not isinstance(stmt, ast.Assign):
-            continue
-        for target in stmt.targets:
-            if not isinstance(target, ast.Name):
-                continue
-            if is_container_value(stmt.value):
-                containers[target.id] = stmt.lineno
-            if _is_lock_value(stmt.value):
-                graph.module_locks[module].add(target.id)
-    graph.module_containers[module] = containers
-
-
-def _bind_module_instances(graph: ProjectGraph) -> None:
-    """Record module-level ``NAME = SomeClass(...)`` bindings so rules
-    can treat the instance's shared attributes as process-global state."""
-    for module, src in graph.modules.items():
-        for stmt in src.tree.body:
-            if not isinstance(stmt, ast.Assign) or not isinstance(stmt.value, ast.Call):
-                continue
-            chain = dotted_chain(stmt.value.func)
-            if chain is None:
-                continue
-            target = graph._resolve_scope_chain(module, chain)
-            if target in graph.classes:
-                for name_node in stmt.targets:
-                    if isinstance(name_node, ast.Name):
-                        graph.classes[target].module_instances.append(
-                            f"{module}.{name_node.id}"
-                        )
 
 
 def _collect_calls(graph: ProjectGraph, src: SourceFile) -> None:
@@ -526,79 +400,6 @@ def _collect_calls(graph: ProjectGraph, src: SourceFile) -> None:
             graph.calls[qualname] = edges
         if unresolved:
             graph.unresolved[qualname] = unresolved
-
-
-def _collect_thread_roots(graph: ProjectGraph, src: SourceFile) -> None:
-    module = src.module
-    creates_pool = False
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.Call):
-            chain = dotted_chain(node.func)
-            if chain and chain[-1] in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
-                creates_pool = True
-
-    def as_function(expr: ast.AST, class_qual: Optional[str]) -> Optional[str]:
-        chain = dotted_chain(expr)
-        if chain is None:
-            return None
-        target = graph.resolve_call_chain(module, class_qual, chain)
-        if target in graph.functions:
-            return target
-        if target in graph.classes:  # submitted callable object: its __call__
-            return graph.resolve_method(target, "__call__")
-        return None
-
-    for qualname, fn in graph.functions.items():
-        if fn.module != module or fn.path != src.path:
-            continue
-        class_qual = None
-        if fn.class_name is not None:
-            class_qual = qualname.rsplit(".", 2)[0] + "." + fn.class_name
-        stack = list(ast.iter_child_nodes(fn.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _SCOPE_NODES):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call):
-                chain = dotted_chain(node.func)
-                tail = chain[-1] if chain else None
-                if tail in ("submit", "map") and node.args:
-                    target = as_function(node.args[0], class_qual)
-                    if target is not None:
-                        graph.thread_roots.append(ThreadRoot(
-                            qualname=target, via=f"{qualname} .{tail}()",
-                            path=src.path, lineno=node.lineno,
-                        ))
-                if tail == "Thread":
-                    for kw in node.keywords:
-                        if kw.arg == "target":
-                            target = as_function(kw.value, class_qual)
-                            if target is not None:
-                                graph.thread_roots.append(ThreadRoot(
-                                    qualname=target,
-                                    via=f"{qualname} Thread(target=...)",
-                                    path=src.path, lineno=node.lineno,
-                                ))
-            elif (creates_pool and isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)):
-                # A bare function reference in a pool-owning module is
-                # assumed to flow into a submission indirectly (the
-                # pipeline's (fn, args) task tuples).
-                target = graph.resolve_call_chain(module, class_qual, [node.id])
-                if target in graph.functions and not _is_call_func(node, fn.node):
-                    graph.thread_roots.append(ThreadRoot(
-                        qualname=target, via=f"{qualname} (task reference)",
-                        path=src.path, lineno=node.lineno,
-                    ))
-
-
-def _is_call_func(name_node: ast.Name, scope: ast.AST) -> bool:
-    """Is *name_node* the function position of a Call in *scope*?"""
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Call) and node.func is name_node:
-            return True
-    return False
 
 
 def _collect_public_symbols(graph: ProjectGraph, src: SourceFile) -> None:
@@ -664,10 +465,8 @@ def build_project(
                 toplevel=toplevel, type_only=type_only,
             ))
 
-    _bind_module_instances(graph)
     for src in sources:
         _collect_calls(graph, src)
-        _collect_thread_roots(graph, src)
         _collect_public_symbols(graph, src)
         graph.reference_counts.update(_identifier_tokens(src.tree))
     for src in consumers:
@@ -693,23 +492,3 @@ def _looks_like_module(graph: ProjectGraph, prefix: str, symbol: str) -> bool:
         )
     return False
 
-
-def reachable_from(
-    graph: ProjectGraph, roots: Iterable[str]
-) -> Dict[str, Tuple[str, ...]]:
-    """BFS over the call graph: qualname → shortest chain from a root
-    (the chain starts at the root and ends at the qualname)."""
-    chains: Dict[str, Tuple[str, ...]] = {}
-    queue: List[str] = []
-    for root in roots:
-        if root in graph.functions and root not in chains:
-            chains[root] = (root,)
-            queue.append(root)
-    while queue:
-        current = queue.pop(0)
-        for edge in graph.calls_from(current):
-            target = edge.target
-            if target in graph.functions and target not in chains:
-                chains[target] = chains[current] + (target,)
-                queue.append(target)
-    return chains

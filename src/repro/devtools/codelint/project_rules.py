@@ -1,10 +1,9 @@
 """Project-scope rules: analyses no single file can support.
 
 Each rule here consumes the :class:`~.graph.ProjectGraph` built after
-the per-file walk — the import graph, the name-resolved call graph, and
-the shared-state inventory — and reports findings anchored to real
-(path, line) positions so suppressions and the baseline apply
-unchanged.
+the per-file walk — the import graph and the name-resolved call graph —
+and reports findings anchored to real (path, line) positions so
+suppressions and the baseline apply unchanged.
 
 The catalogue (see README.md for the incident history):
 
@@ -12,15 +11,13 @@ The catalogue (see README.md for the incident history):
   calls a helper *outside* the restricted tree that transitively
   reaches ambient randomness or the wall clock.
 * ``LAYER01`` — import layering and devtools isolation; import cycles.
-* ``RACE01`` — shared mutable state written without its lock, or from
-  thread-pool workers with no lock at all.
 * ``DEAD01`` — public symbols nothing references.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import (
     DETERMINISM_MODULE,
@@ -29,22 +26,10 @@ from .engine import (
     register,
 )
 from .findings import Finding, Severity
-from .graph import (
-    ClassInfo,
-    FunctionNode,
-    ProjectGraph,
-    dotted_chain,
-    reachable_from,
-)
+from .graph import FunctionNode, ProjectGraph, dotted_chain
 from .rules import _BANNED_CALLS, _BANNED_MODULES
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-
-#: Container methods that mutate in place.
-MUTATOR_METHODS = {
-    "append", "appendleft", "add", "update", "setdefault", "pop", "popitem",
-    "clear", "extend", "remove", "discard", "insert", "move_to_end",
-}
 
 
 def _subsystem(module: str) -> Optional[str]:
@@ -354,229 +339,6 @@ def _cycle_path(
     # walked is importer..target along reversed BFS parents; the cycle is
     # importer -> target -> ... -> importer.
     return [importer] + list(reversed(walked))
-
-
-# ---------------------------------------------------------------------------
-# RACE01 — shared state written without its lock
-# ---------------------------------------------------------------------------
-
-
-def _is_lock_context(
-    expr: ast.AST, self_locks: Set[str], module_locks: Set[str]
-) -> bool:
-    if isinstance(expr, ast.Call):
-        expr = expr.func
-    chain = dotted_chain(expr)
-    if chain is None:
-        return False
-    if chain[0] == "self" and len(chain) >= 2 and chain[1] in self_locks:
-        return True
-    return chain[0] in module_locks
-
-
-def _iter_unlocked_writes(
-    body: Sequence[ast.AST],
-    self_locks: Set[str],
-    module_locks: Set[str],
-    is_write,
-) -> Iterator[Tuple[ast.AST, str]]:
-    """(node, attr/name) for every shared-state write not under a
-    recognised ``with <lock>:``.  *is_write* classifies a node."""
-    stack: List[Tuple[ast.AST, bool]] = [(node, False) for node in body]
-    while stack:
-        node, locked = stack.pop()
-        if isinstance(node, _SCOPE_NODES):
-            continue
-        child_locked = locked
-        if isinstance(node, ast.With):
-            if any(
-                _is_lock_context(item.context_expr, self_locks, module_locks)
-                for item in node.items
-            ):
-                child_locked = True
-        if not locked:
-            target = is_write(node)
-            if target is not None:
-                yield node, target
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, child_locked))
-
-
-def _self_write_target(
-    node: ast.AST, container_attrs: Set[str], state_attrs: Set[str]
-) -> Optional[str]:
-    """The ``self.<attr>`` a node writes, when that attr is shared."""
-    if isinstance(node, ast.Call):
-        chain = dotted_chain(node.func)
-        if (
-            chain is not None and len(chain) == 3 and chain[0] == "self"
-            and chain[1] in container_attrs and chain[2] in MUTATOR_METHODS
-        ):
-            return chain[1]
-        return None
-    targets: List[ast.AST] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    elif isinstance(node, ast.Delete):
-        targets = list(node.targets)
-    for target in targets:
-        if isinstance(target, ast.Subscript):
-            chain = dotted_chain(target.value)
-            if (
-                chain is not None and len(chain) == 2 and chain[0] == "self"
-                and chain[1] in container_attrs
-            ):
-                return chain[1]
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and target.attr in state_attrs
-        ):
-            return target.attr
-    return None
-
-
-def _module_write_target(
-    node: ast.AST,
-    module_containers: Set[str],
-    class_containers: Dict[str, Set[str]],
-) -> Optional[str]:
-    """The module-level container (or ``Class.attr`` cache) a node
-    writes."""
-
-    def classify(chain: Optional[List[str]]) -> Optional[str]:
-        if chain is None:
-            return None
-        if len(chain) == 1 and chain[0] in module_containers:
-            return chain[0]
-        if len(chain) == 2 and chain[1] in class_containers.get(chain[0], ()):
-            return ".".join(chain)
-        return None
-
-    if isinstance(node, ast.Call):
-        chain = dotted_chain(node.func)
-        if chain is not None and len(chain) >= 2 and chain[-1] in MUTATOR_METHODS:
-            return classify(chain[:-1])
-        return None
-    targets: List[ast.AST] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    elif isinstance(node, ast.Delete):
-        targets = list(node.targets)
-    for target in targets:
-        if isinstance(target, ast.Subscript):
-            found = classify(dotted_chain(target.value))
-            if found is not None:
-                return found
-    return None
-
-
-@register
-class SharedStateRaceRule(ProjectRule):
-    code = "RACE01"
-    name = "shared mutable state written without lock protection"
-    severity = Severity.ERROR
-    rationale = (
-        "The pipeline's thread mode shares caches across workers "
-        "(SignatureMemo, WorldRegistry, AnswerCache). A class that owns "
-        "a threading lock but writes its shared attributes outside "
-        "'with self._lock:' — or a module-level container written from a "
-        "function reachable from a ThreadPoolExecutor submission — is a "
-        "data race that corrupts datasets nondeterministically under "
-        "exactly the sharded execution shapes the equivalence suites "
-        "exist to protect. dnssec/signing.SignatureMemo is the exemplar "
-        "lock-held pattern."
-    )
-
-    def check_project(self, project: ProjectGraph) -> Iterator[Finding]:
-        yield from self._lock_owning_classes(project)
-        yield from self._thread_reachable_writes(project)
-
-    def _lock_owning_classes(self, project: ProjectGraph) -> Iterator[Finding]:
-        for class_qual in sorted(project.classes):
-            info = project.classes[class_qual]
-            if not info.lock_attrs:
-                continue
-            state_attrs = set(info.container_attrs) | set(info.init_attrs)
-            state_attrs -= info.lock_attrs
-            if not state_attrs:
-                continue
-            for method_name in sorted(info.methods):
-                if method_name in ("__init__", "__new__", "__del__"):
-                    continue
-                fn = project.functions.get(info.methods[method_name])
-                if fn is None:
-                    continue
-                reported: Set[str] = set()
-                for node, attr in _iter_unlocked_writes(
-                    list(ast.iter_child_nodes(fn.node)),
-                    info.lock_attrs, set(),
-                    lambda n: _self_write_target(
-                        n, info.container_attrs, state_attrs
-                    ),
-                ):
-                    if attr in reported:
-                        continue
-                    reported.add(attr)
-                    lock = sorted(info.lock_attrs)[0]
-                    yield self.project_finding(
-                        fn.path, node.lineno, getattr(node, "col_offset", 0),
-                        f"{info.name}.{method_name} writes shared attribute "
-                        f"'{attr}' outside 'with self.{lock}:' although "
-                        f"{info.name} owns a lock for it; hold the lock "
-                        "around every read-modify-write",
-                    )
-
-    def _thread_reachable_writes(
-        self, project: ProjectGraph
-    ) -> Iterator[Finding]:
-        roots = {root.qualname for root in project.thread_roots}
-        if not roots:
-            return
-        chains = reachable_from(project, roots)
-        reported: Set[Tuple[str, str]] = set()
-        for qualname in sorted(chains):
-            fn = project.functions.get(qualname)
-            if fn is None:
-                continue
-            module_containers = set(project.module_containers.get(fn.module, ()))
-            module_locks = set(project.module_locks.get(fn.module, ()))
-            class_containers = {
-                info.name: set(info.container_attrs)
-                for info in project.classes.values()
-                if info.module == fn.module
-            }
-            self_locks: Set[str] = set()
-            if fn.class_name is not None:
-                owner = qualname.rsplit(".", 2)[0] + "." + fn.class_name
-                owner_info = project.classes.get(owner)
-                if owner_info is not None:
-                    self_locks = set(owner_info.lock_attrs)
-            if not module_containers and not class_containers:
-                continue
-            for node, name in _iter_unlocked_writes(
-                list(ast.iter_child_nodes(fn.node)),
-                self_locks, module_locks,
-                lambda n: _module_write_target(
-                    n, module_containers, class_containers
-                ),
-            ):
-                if (qualname, name) in reported:
-                    continue
-                reported.add((qualname, name))
-                path = " -> ".join(_short(q) for q in chains[qualname])
-                yield self.project_finding(
-                    fn.path, node.lineno, getattr(node, "col_offset", 0),
-                    f"module-level shared state '{name}' is written by "
-                    f"{_short(qualname)}, which threads reach via {path}, "
-                    "without a lock-guarded 'with'; guard it with a "
-                    "threading.Lock",
-                )
 
 
 # ---------------------------------------------------------------------------

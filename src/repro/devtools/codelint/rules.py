@@ -545,7 +545,7 @@ class GcHygieneRule(Rule):
     rationale = (
         "gc.disable()/gc.enable() pairs in library code re-enable "
         "collection inside someone else's pause window; PR 3 extracted "
-        "the refcounted paused_gc() helper into repro/gcutils.py as the "
+        "the nesting paused_gc() helper into repro/gcutils.py as the "
         "only legal owner of the toggle."
     )
 

@@ -203,13 +203,11 @@ class Name:
     def __getstate__(self):
         # Only the labels cross a pickle boundary, never the caches (hash,
         # key, text): the cached hash bakes in this interpreter's str-hash
-        # seed, and a Name unpickled into another interpreter (world
-        # snapshots are loaded by resumed collections — see
-        # simnet/snapshot.py) would keep answering with the stale value,
-        # silently missing in every dict keyed by freshly constructed
-        # Names. Wrapped in a 1-tuple
-        # so the state is truthy even for an empty relative name (pickle
-        # skips __setstate__ entirely on a falsy state).
+        # seed, and a Name unpickled into another interpreter would keep
+        # answering with the stale value, silently missing in every dict
+        # keyed by freshly constructed Names. Wrapped in a 1-tuple so the
+        # state is truthy even for an empty relative name (pickle skips
+        # __setstate__ entirely on a falsy state).
         return (self._labels,)
 
     def __setstate__(self, state) -> None:

@@ -15,18 +15,15 @@ Honest economics note: the simulated signature primitive is an
 HMAC-SHA256 (see :mod:`repro.dnssec.keys`), so a memo hit — one SHA-256
 over the signing input to form the key — costs nearly as much as the
 "signature" it avoids; at this substitution level the memo is roughly
-cost-neutral (the snapshot cache, not the memo, carries the measured
-warm-up win — see ``bench_results/world_snapshot_walltime.txt``). The
-layer models the architecture of a production signer, where the avoided
-operation is an RSA/ECDSA signature that costs orders of magnitude more
-than the lookup; swap the primitive and the memo's hit counters convert
-directly into saved asymmetric operations.
+cost-neutral. The layer models the architecture of a production
+signer, where the avoided operation is an RSA/ECDSA signature that costs
+orders of magnitude more than the lookup; swap the primitive and the
+memo's hit counters convert directly into saved asymmetric operations.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -50,9 +47,6 @@ class SignatureMemo:
     immutable signature bytes, so sharing them across RRSIG records is
     safe (``corrupt_signature`` mutates a copy on the record, never the
     memoised bytes).
-
-    Thread-safe: the pipeline's thread executor signs from many workers
-    against this process-global memo.
     """
 
     def __init__(self, capacity: int = 200_000, enabled: bool = True):
@@ -62,42 +56,37 @@ class SignatureMemo:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[bytes, bytes], bytes]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
 
     def sign(self, key: ZoneKey, data: bytes) -> bytes:
         """``key.sign_blob(data)`` through the memo."""
         if not self.enabled:
             return key.sign_blob(data)
         memo_key = (hashlib.sha256(data).digest(), key.public_key)
-        with self._lock:
-            signature = self._entries.get(memo_key)
-            if signature is not None:
-                self._entries.move_to_end(memo_key)
-                self.hits += 1
-                return signature
-        signature = key.sign_blob(data)
-        with self._lock:
-            self.misses += 1
-            self._entries[memo_key] = signature
+        signature = self._entries.get(memo_key)
+        if signature is not None:
             self._entries.move_to_end(memo_key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self.hits += 1
+            return signature
+        signature = key.sign_blob(data)
+        self.misses += 1
+        self._entries[memo_key] = signature
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
         return signature
 
 
 # Process-global memo shared by every zone/world in the process (worlds
 # built from the same config sign identical inputs, so sharing maximises
-# reuse across the pipeline's thread-mode workers).
+# reuse across the worlds one process builds).
 _SIGNATURE_MEMO = SignatureMemo()
 
 

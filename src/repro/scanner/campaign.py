@@ -249,8 +249,8 @@ def run_scheduled(
     union of ``snapshot.apex`` keys), so the fold of day-slices watches
     exactly the domains a one-shot run would.
     *scenario* installs a :class:`~repro.simnet.faults.FaultSchedule` on
-    the world for the duration of the run (cleared on exit, so shared
-    registry worlds go back pristine); observations are value-equal
+    the world for the duration of the run (cleared on exit, so reused
+    worlds go back pristine); observations are value-equal
     across serial and sharded execution of the same scenario.
     ``answer_cache`` arms the world's layered answer fast path for the
     duration of the run (disarmed on exit, like the scenario) — the

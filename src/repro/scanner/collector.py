@@ -17,7 +17,7 @@ longitudinal dataset the moment it completes:
 * one **increment** is the pair (day-slice × domain-shard), executed
   through the existing sharded machinery
   (:meth:`~repro.scanner.pipeline.ParallelCampaignRunner.run_shard`,
-  whose worker pool and per-process world registries stay warm across
+  whose worker pool and per-process idle worlds stay warm across
   increments);
 * completed increments fold along **both merge axes**: same-day shard
   parts via :func:`~repro.scanner.pipeline.merge_shard_datasets` (after
@@ -305,9 +305,9 @@ class ContinuousCollector:
     *days_per_increment* sets how many consecutive scan days one
     day-slice covers; *workers* is both the domain-shard count and the
     worker-pool width (shard count is checkpoint identity: a resume must
-    use the same value). The runner's pool and the worker processes'
-    world registries stay warm across increments, so per-increment
-    warm-up is a snapshot checkout, not a world rebuild.
+    use the same value). The runner's pool and each process's idle
+    world stay warm across increments, so per-increment warm-up is a
+    world checkout, not a rebuild.
     """
 
     def __init__(
@@ -322,8 +322,6 @@ class ContinuousCollector:
         with_ech_hourly: bool = True,
         with_dnssec_snapshot: bool = True,
         days_per_increment: int = 7,
-        snapshot_dir: Optional[str] = None,
-        executor: str = "process",
         keep_alive: bool = False,
         scenario: Optional[FaultSchedule] = None,
         answer_cache: bool = True,
@@ -355,8 +353,6 @@ class ContinuousCollector:
         self.runner = ParallelCampaignRunner(
             self.config,
             workers=self.workers,
-            executor=executor,
-            snapshot_dir=snapshot_dir,
             schedule=self.schedule,
             keep_alive=True,
             scenario=scenario,
@@ -367,10 +363,9 @@ class ContinuousCollector:
 
     def _meta(self) -> Dict:
         """The checkpoint identity header: everything that must match for
-        a resume to be sound. Equality-preserving knobs (snapshot dir,
-        executor, answer_cache) deliberately stay out — they may
-        change between sessions without invalidating completed
-        increments."""
+        a resume to be sound. The equality-preserving ``answer_cache``
+        knob deliberately stays out — it may change between sessions
+        without invalidating completed increments."""
         return {
             "magic": _MAGIC,
             "version": CHECKPOINT_VERSION,

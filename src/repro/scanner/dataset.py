@@ -32,7 +32,6 @@ import gzip
 import hashlib
 import os
 import pickle
-import threading
 import zlib
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -302,7 +301,7 @@ class Dataset:
             payload = pickle.dumps(self, protocol=_PICKLE_PROTOCOL)
         blob = gzip.compress(payload, compresslevel=_LEVEL, mtime=0)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as handle:
                 handle.write(blob)

@@ -29,16 +29,13 @@ same plan.
 Worker transport counters (``Network.dns_query_count`` etc.) are
 summed across all stages into ``run_stats`` on the merged dataset.
 
-Worker warm-up goes through the world snapshot cache
-(:mod:`~repro.simnet.snapshot`): every task checks a world out of the
-in-process registry and checks it back in (reset) when done, so
-thread-mode tasks and reused pool processes share built worlds instead
-of reconstructing them. With ``snapshot_dir`` set, the parent
-additionally materialises an on-disk snapshot *before* spawning process
-workers, so each worker process deserializes the fully signed world
-(~an order of magnitude cheaper than building it) instead of re-running
-construction and zone signing. Both paths are value-equality-preserving:
-a loaded or reused world answers bit-for-bit like a fresh one.
+Workers are processes (``concurrent.futures.ProcessPoolExecutor``), or
+the calling process itself at one worker. Every stage task checks a
+world out of its process's idle pool
+(:func:`~repro.simnet.snapshot.checkout_world`) and checks it back in,
+reset, when done, so a persistent pool process builds its world once
+and reuses it across stages and increments. A reset world answers
+bit-for-bit like a fresh one, so reuse preserves value equality.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from typing import (
 from ..simnet import timeline
 from ..simnet.config import SimConfig
 from ..simnet.faults import FaultSchedule
-from ..simnet.snapshot import checkin_world, checkout_world, ensure_world_snapshot
+from ..simnet.snapshot import checkin_world, checkout_world
 from ..simnet.world import World
 from .campaign import (
     CampaignSchedule,
@@ -119,7 +116,6 @@ class ShardPlan:
 
 def _scan_shard(
     config: SimConfig, schedule: CampaignSchedule, shards: int, index: int,
-    snapshot_dir: Optional[str] = None,
     seen_https: FrozenSet[str] = frozenset(),
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
@@ -129,7 +125,7 @@ def _scan_shard(
     *seen_https* is the deactivation-watchlist carry-in for day-slice
     increments (apexes that already published HTTPS on earlier, already
     folded days); a whole-window run passes the empty set."""
-    world = checkout_world(config, snapshot_dir)
+    world = checkout_world(config)
     try:
         plan = ShardPlan(shards, config.seed)
         names = {p.name for p in world.profiles if plan.shard_of(p.name) == index}
@@ -149,12 +145,11 @@ def _scan_shard(
 def _scan_ns_shard(
     config: SimConfig,
     day_hostnames: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
-    snapshot_dir: Optional[str] = None,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
 ) -> Tuple[List[Tuple[datetime.date, str, NameServerObservation]], RunStats]:
     """Post-merge NS stage: resolve + WHOIS-attribute name servers."""
-    world = checkout_world(config, snapshot_dir)
+    world = checkout_world(config)
     try:
         world.install_faults(scenario)
         # checkin_world resets the world, which disarms the fast path.
@@ -173,12 +168,11 @@ def _scan_ns_shard(
 def _scan_ech_shard(
     config: SimConfig,
     day_targets: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
-    snapshot_dir: Optional[str] = None,
     scenario: Optional[FaultSchedule] = None,
     answer_cache: bool = True,
 ) -> Tuple[List[EchObservation], RunStats]:
     """Stage 2: hourly ECH rescans for this shard's targets per day."""
-    world = checkout_world(config, snapshot_dir)
+    world = checkout_world(config)
     try:
         world.install_faults(scenario)
         # checkin_world resets the world, which disarms the fast path.
@@ -266,24 +260,19 @@ class ParallelCampaignRunner:
     """Run the measurement campaign sharded across worker processes.
 
     Produces a :class:`Dataset` equal to ``run_campaign`` on the same
-    config (see module docstring for why). ``executor='thread'`` swaps
-    in a thread pool — no speedup under the GIL, but handy for tests and
-    debugging since it avoids pickling through process boundaries;
-    thread-mode tasks reuse pooled worlds from the in-process snapshot
-    registry instead of each building their own. ``snapshot_dir`` adds
-    the on-disk world snapshot so process workers deserialize their
-    world instead of rebuilding it.
+    config (see module docstring for why). At ``workers=1`` every stage
+    runs inline in the calling process; otherwise on a process pool.
 
     The runner is reusable across schedules: its worker pool is created
     lazily and persists between calls, so consecutive increments of a
     continuous collection (:mod:`~repro.scanner.collector`) reuse warm
-    worker processes — whose per-process :class:`WorldRegistry` pools
-    keep their deserialized worlds — instead of paying pool spin-up and
-    world warm-up per increment. ``run()`` keeps its one-shot contract
-    (the pool is torn down afterwards) unless ``keep_alive=True``;
-    callers driving increments through :meth:`run_shard` /
-    :meth:`finish_slice` / :meth:`run_schedule` own the lifetime and
-    call :meth:`close` (or use the runner as a context manager).
+    worker processes — each keeping its built world in its idle pool —
+    instead of paying pool spin-up and world warm-up per increment.
+    ``run()`` keeps its one-shot contract (the pool is torn down
+    afterwards) unless ``keep_alive=True``; callers driving increments
+    through :meth:`run_shard` / :meth:`finish_slice` /
+    :meth:`run_schedule` own the lifetime and call :meth:`close` (or use
+    the runner as a context manager).
     """
 
     def __init__(
@@ -296,19 +285,13 @@ class ParallelCampaignRunner:
         ech_sample: int = 200,
         with_ech_hourly: bool = True,
         with_dnssec_snapshot: bool = True,
-        executor: str = "process",
-        snapshot_dir: Optional[str] = None,
         schedule: Optional[CampaignSchedule] = None,
         keep_alive: bool = False,
         scenario: Optional[FaultSchedule] = None,
         answer_cache: bool = True,
     ):
-        if executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.config = config if config is not None else SimConfig()
         self.workers = max(1, int(workers))
-        self.executor = executor
-        self.snapshot_dir = snapshot_dir
         self.keep_alive = bool(keep_alive)
         self.scenario = scenario
         self.answer_cache = bool(answer_cache)
@@ -326,7 +309,6 @@ class ParallelCampaignRunner:
         # lost at worker exit).
         self.run_stats: Optional[RunStats] = None
         self._pool_instance = None
-        self._snapshot_ready = False
 
     # -- public API --------------------------------------------------------
 
@@ -350,35 +332,23 @@ class ParallelCampaignRunner:
         executor the continuous collector loops over (``run()`` wraps it
         for the one-shot whole-campaign case)."""
         if self.workers == 1:
-            if self.snapshot_dir is not None:
-                world = checkout_world(self.config, self.snapshot_dir)
-                try:
-                    dataset = run_scheduled(
-                        world, schedule, progress=progress,
-                        seen_https=seen_https, scenario=self.scenario,
-                        answer_cache=self.answer_cache,
-                    )
-                finally:
-                    checkin_world(world)
-            else:
-                # No reuse requested: a throwaway world, not a pooled one
-                # (pooling would pin it for the process lifetime).
-                dataset = run_scheduled(
-                    World(self.config), schedule,
-                    progress=progress, seen_https=seen_https,
-                    scenario=self.scenario, answer_cache=self.answer_cache,
-                )
+            # A throwaway world, not a pooled one: a one-shot run has no
+            # later stage to hand it to, and parking it would pin it for
+            # the process lifetime.
+            dataset = run_scheduled(
+                World(self.config), schedule,
+                progress=progress, seen_https=seen_https,
+                scenario=self.scenario, answer_cache=self.answer_cache,
+            )
             self.run_stats = dataset.run_stats
             return dataset
-        self.prepare(progress)
         shards = self._execute(
             [
                 (
                     _scan_shard,
                     (
                         self.config, schedule, self.workers, index,
-                        self.snapshot_dir, seen_https, self.scenario,
-                        self.answer_cache,
+                        seen_https, self.scenario, self.answer_cache,
                     ),
                 )
                 for index in range(self.workers)
@@ -392,22 +362,6 @@ class ParallelCampaignRunner:
         if progress is not None:
             progress(f"run summary: {dataset.run_stats.summary()}")
         return dataset
-
-    def prepare(self, progress: Optional[Callable[[str], None]] = None) -> None:
-        """One-time warm-up for multi-worker execution: materialise the
-        on-disk world snapshot so workers deserialize instead of build.
-
-        Build (and sign) the world exactly once, up front: process
-        workers deserialize the snapshot instead of repeating
-        construction, and concurrent thread workers load it too (the
-        registry pool only has the parent's single world, so without the
-        file the rest would each build their own)."""
-        if self.workers == 1 or self.snapshot_dir is None or self._snapshot_ready:
-            return
-        ensure_world_snapshot(self.config, self.snapshot_dir)
-        self._snapshot_ready = True
-        if progress is not None:
-            progress(f"world snapshot ready under {self.snapshot_dir}")
 
     def run_shard(
         self,
@@ -432,13 +386,11 @@ class ParallelCampaignRunner:
         idle through the dominant stage). Yields (index, part) pairs in
         completion order, so callers that checkpoint per increment can
         journal each part the moment it lands."""
-        self.prepare()
         seen = frozenset(seen_https)
         args = {
             index: (
                 self.config, schedule, self.workers, index,
-                self.snapshot_dir, seen, self.scenario,
-                self.answer_cache,
+                seen, self.scenario, self.answer_cache,
             )
             for index in indices
         }
@@ -487,14 +439,9 @@ class ParallelCampaignRunner:
     def _pool(self):
         """The persistent worker pool, created on first use."""
         if self._pool_instance is None:
-            if self.executor == "thread":
-                self._pool_instance = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers
-                )
-            else:
-                self._pool_instance = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
+            self._pool_instance = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers
+            )
         return self._pool_instance
 
     def _execute(self, tasks, progress, label: str) -> list:
@@ -540,10 +487,7 @@ class ParallelCampaignRunner:
             tasks.append(
                 (
                     _scan_ns_shard,
-                    (
-                        self.config, frozen, self.snapshot_dir,
-                        self.scenario, self.answer_cache,
-                    ),
+                    (self.config, frozen, self.scenario, self.answer_cache),
                 )
             )
         if not tasks:
@@ -586,10 +530,7 @@ class ParallelCampaignRunner:
             tasks.append(
                 (
                     _scan_ech_shard,
-                    (
-                        self.config, frozen, self.snapshot_dir,
-                        self.scenario, self.answer_cache,
-                    ),
+                    (self.config, frozen, self.scenario, self.answer_cache),
                 )
             )
         if not tasks:

@@ -2,17 +2,12 @@
 
 A :class:`World` is a deterministic function of :class:`SimConfig` —
 profiles, zones, DNSSEC signatures, ECH keys, and Tranco membership all
-derive from the config's seed — so built worlds are cacheable artifacts.
-:mod:`~repro.simnet.snapshot` exploits that with two layers:
-
-* an **on-disk snapshot** (versioned, integrity-checked pickle of a
-  pristine world, keyed by the canonical config tag) that pipeline
-  worker *processes* load instead of rebuilding and re-signing; and
-* an **in-process registry** (:class:`~repro.simnet.snapshot.WorldRegistry`)
-  with exclusive checkout/checkin, through which thread-mode pipeline
-  tasks and sequential runs reuse one world per config tag —
-  :meth:`World.reset` rewinds the clock and flushes the time-stamped
-  caches so a reused world answers bit-for-bit like a fresh build.
+derive from the config's seed. :mod:`~repro.simnet.snapshot` names that
+identity (:func:`~repro.simnet.snapshot.world_tag` plus a fingerprint of
+the code) and reuses built worlds within a process through exclusive
+checkout/checkin: :meth:`World.reset` rewinds the clock and flushes the
+time-stamped caches, so a reused world answers bit-for-bit like a fresh
+build.
 """
 
 from . import timeline
@@ -20,18 +15,7 @@ from .cohorts import DomainProfile, ECH_TEST_DOMAINS, SPECIAL_DOMAINS, make_prof
 from .config import SimConfig
 from .faults import FaultInjector, FaultSchedule, FaultSpec
 from .providers import PROVIDERS, ProviderSpec
-from .snapshot import (
-    SnapshotError,
-    WorldRegistry,
-    checkin_world,
-    checkout_world,
-    ensure_world_snapshot,
-    load_world_snapshot,
-    save_world_snapshot,
-    snapshot_path,
-    world_registry,
-    world_tag,
-)
+from .snapshot import checkin_world, checkout_world, world_tag
 from .world import ECH_PUBLIC_NAME, World
 
 __all__ = [
@@ -48,14 +32,7 @@ __all__ = [
     "ProviderSpec",
     "ECH_PUBLIC_NAME",
     "World",
-    "SnapshotError",
-    "WorldRegistry",
     "checkin_world",
     "checkout_world",
-    "ensure_world_snapshot",
-    "load_world_snapshot",
-    "save_world_snapshot",
-    "snapshot_path",
-    "world_registry",
     "world_tag",
 ]

@@ -82,11 +82,11 @@ delivery *attempt* the resolver passes to
 :meth:`~repro.resolver.network.Network.send_dns_query`, so a retry is
 a fresh draw while a replayed query loses exactly what it lost before.
 
-Worlds are never snapshotted with faults armed:
-:meth:`~repro.simnet.world.World.reset` — called by the snapshot
-registry on checkin and before pickling — clears the injector, so
-cached pristine worlds stay scenario-free and each run re-installs its
-own schedule after checkout.
+Worlds are never parked for reuse with faults armed:
+:meth:`~repro.simnet.world.World.reset` — called on every
+:func:`~repro.simnet.snapshot.checkin_world` — clears the injector, so
+idle worlds stay scenario-free and each run re-installs its own
+schedule after checkout.
 """
 
 from __future__ import annotations

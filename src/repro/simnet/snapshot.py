@@ -1,53 +1,27 @@
-"""World snapshot cache: built-and-signed worlds, reusable across
-processes and tasks.
+"""World identity and in-process world reuse.
 
 A :class:`~repro.simnet.world.World` is a deterministic function of its
 :class:`~repro.simnet.config.SimConfig` (population profiles, provider
 catalogue, zone tree, DNSSEC keysets and signatures, ECH key schedule,
-Tranco membership), so building it is pure warm-up cost — and the
-sharded pipeline (:mod:`~repro.scanner.pipeline`) pays it once per
-worker task. This module removes that redundancy at two levels:
+Tranco membership) and of the code that builds it. This module names
+both halves of that identity and reuses built worlds within a process:
 
-* **On-disk snapshots** — :func:`save_world_snapshot` pickles a
-  *pristine* world (reset to the study start) into a versioned,
-  integrity-checked file keyed by the same canonical config tag the
-  campaign dataset cache uses (``repr(dataclasses.astuple(config))``,
-  hashed). :func:`load_world_snapshot` verifies magic, format version,
-  config tag, and a SHA-256 payload digest before unpickling; any
-  mismatch raises :class:`SnapshotError` and the caller rebuilds (and
-  rewrites) — a stale or corrupt snapshot can never serve quietly.
+* :func:`code_fingerprint` hashes the ``repro`` package source, and
+  :func:`world_tag` hashes every ``SimConfig`` field. The continuous
+  collector's checkpoint header records both, so a checkpoint written
+  by other code or for another world is never resumed.
 
-* **An in-process registry** — :class:`WorldRegistry` keeps a small
-  pool of idle worlds per config tag with checkout/checkin semantics.
-  A checked-in world is :meth:`~repro.simnet.world.World.reset` (clock
-  rewound, time-stamped caches flushed) so the next checkout behaves
-  bit-for-bit like a fresh build. Thread-mode pipeline tasks and the
-  pipeline's sequential post-merge stages draw from this pool instead
-  of deserializing (or rebuilding) per task; checkout is exclusive, so
-  concurrent tasks never share a world object.
+* :func:`checkout_world` hands out an exclusively owned world: the idle
+  one parked for its config tag, else a fresh build. :func:`checkin_world`
+  resets the world (:meth:`~repro.simnet.world.World.reset`: clock
+  rewound, time-stamped caches flushed) and parks it for the next
+  checkout, so consecutive stages and ``Study`` sessions in one process
+  share one build and its warm memos. A reset world answers bit-for-bit
+  like a fresh build (``tests/test_snapshot.py`` checks this).
 
-Construction and deserialization both run under a cyclic-GC pause
-(:mod:`repro.gcutils`): the world is an immortal object graph, and
-full-heap collection passes triggered by its allocation churn dominate
-warm-up timings otherwise.
-
-Equivalence guarantee: snapshots are written only in the pristine state,
-the pickled graph contains no wall-clock, filesystem, or RNG handles,
-and every derived cache inside it is a pure function of (config, time)
-— so a loaded (or reused) world produces datasets value-equal to a
-freshly built one. ``tests/test_snapshot.py`` locks this in for the
-daily, NS, ECH, and DNSSEC stages. Equality holds *across
-interpreters*, not just forked pool workers: per-process state (e.g.
-the str-hash seed behind a ``Name``'s cached hash) must never cross the
-pickle boundary, so a snapshot written by one session answers
-identically when a resumed collection loads it in a fresh process
-(``tests/test_names.py::TestPickling`` guards the one bug we hit).
-
-Snapshots do not survive code changes: the header records a fingerprint
-of the ``repro`` package source alongside :data:`SNAPSHOT_VERSION`, so
-a snapshot written by different code — even a change that unpickles
-cleanly but would generate a different world — is rejected and rebuilt
-(worlds rebuild in well under a second; staleness is never worth it).
+The idle pool is a plain per-process dict: execution is either inline
+or in pool worker processes, and each process has its own pool. Parked
+worlds live until process exit.
 """
 
 from __future__ import annotations
@@ -55,37 +29,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
-import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..gcutils import paused_gc
 from .config import SimConfig
 from .world import World
 
-# Bump whenever the on-disk layout (this header) or the pickled object
-# graph changes shape; readers reject other versions.
-SNAPSHOT_VERSION = 1
-
-_MAGIC = b"repro-world-snapshot"
-_PICKLE_PROTOCOL = 4
-
-
-class SnapshotError(Exception):
-    """A snapshot file is missing, stale, corrupt, or mismatched."""
-
-
 _CODE_FINGERPRINT: Optional[str] = None
+
+# config tag → the idle (reset) world parked for it.
+_IDLE: Dict[str, World] = {}
 
 
 def code_fingerprint() -> str:
     """Fingerprint of the ``repro`` package source (cached per process).
 
-    Folded into every snapshot header so snapshots written by different
-    code are rejected outright — the config tag cannot see code changes
-    that alter world generation without touching ``SimConfig``. Returns
-    ``""`` (matching everything) when the source is unreadable, e.g. a
-    zipped install."""
+    The config tag cannot see code changes that alter world generation
+    without touching ``SimConfig``; this can. Returns ``""`` (matching
+    everything) when the source is unreadable, e.g. a zipped install."""
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -107,206 +67,23 @@ def code_fingerprint() -> str:
 
 
 def world_tag(config: SimConfig) -> str:
-    """Canonical cache tag for *config* — the config component of the
-    campaign dataset cache key (every field participates, so any knob
-    change keys a different snapshot)."""
+    """Canonical tag for *config* — the config component of the campaign
+    dataset cache key (every field participates, so any knob change
+    keys a different world)."""
     blob = repr(dataclasses.astuple(config)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def snapshot_path(snapshot_dir: str, config: SimConfig) -> str:
-    return os.path.join(
-        snapshot_dir, f"world_{config.population}_{world_tag(config)}.snap"
-    )
-
-
-def save_world_snapshot(world: World, snapshot_dir: str) -> str:
-    """Write *world* as a snapshot (resetting it to pristine first) and
-    return the path. The write is atomic (temp file + rename), so a
-    concurrent reader sees either the old snapshot or the new one."""
-    world.reset()
-    payload = pickle.dumps(world, protocol=_PICKLE_PROTOCOL)
-    record = {
-        "magic": _MAGIC,
-        "version": SNAPSHOT_VERSION,
-        "code": code_fingerprint(),
-        "tag": world_tag(world.config),
-        "digest": hashlib.sha256(payload).hexdigest(),
-        "payload": payload,
-    }
-    path = snapshot_path(snapshot_dir, world.config)
-    os.makedirs(snapshot_dir, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            pickle.dump(record, handle, protocol=_PICKLE_PROTOCOL)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # pragma: no cover - failed mid-write
-            os.unlink(tmp)
-    return path
-
-
-def load_world_snapshot(config: SimConfig, snapshot_dir: str) -> World:
-    """Load the snapshot for *config*, verifying version, tag, and
-    payload integrity. Raises :class:`SnapshotError` on any problem —
-    callers fall back to building (and rewriting) a fresh world."""
-    path = snapshot_path(snapshot_dir, config)
-    try:
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-    except FileNotFoundError:
-        raise SnapshotError(f"no snapshot at {path}") from None
-    except Exception as exc:  # truncated/garbled header or payload
-        raise SnapshotError(f"unreadable snapshot {path}: {exc}") from exc
-    if not isinstance(record, dict) or record.get("magic") != _MAGIC:
-        raise SnapshotError(f"{path} is not a world snapshot")
-    if record.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{path} has snapshot version {record.get('version')!r}, "
-            f"expected {SNAPSHOT_VERSION}"
-        )
-    if record.get("code") != code_fingerprint():
-        raise SnapshotError(f"{path} was written by different repro code (stale)")
-    if record.get("tag") != world_tag(config):
-        raise SnapshotError(f"{path} was built for a different config")
-    payload = record.get("payload")
-    if not isinstance(payload, bytes) or (
-        hashlib.sha256(payload).hexdigest() != record.get("digest")
-    ):
-        raise SnapshotError(f"{path} failed its integrity check")
-    try:
-        with paused_gc():
-            world = pickle.loads(payload)
-    except Exception as exc:  # payload from incompatible code
-        raise SnapshotError(f"cannot deserialize {path}: {exc}") from exc
-    if not isinstance(world, World):
-        raise SnapshotError(f"{path} does not contain a World")
+def checkout_world(config: SimConfig) -> World:
+    """An exclusively owned world for *config*: the parked idle one if
+    there is one (already reset), else a fresh build."""
+    world = _IDLE.pop(world_tag(config), None)
+    if world is None:
+        world = World(config)  # construction pauses the GC itself
     return world
 
 
-class WorldRegistry:
-    """In-process pool of reusable worlds, keyed by config tag.
-
-    ``checkout`` hands out an *exclusively owned* world: an idle pooled
-    one when available (already reset), else a snapshot load from
-    *snapshot_dir*, else a fresh build (which is then snapshotted so
-    sibling processes hit the disk cache). ``checkin`` resets the world
-    and parks it for the next checkout. Thread-safe; the pool never
-    hands the same object to two concurrent holders.
-
-    Pooled worlds live until process exit (or :meth:`clear`), capped at
-    ``max_idle_per_tag`` per config. Callers that do not want a world
-    pinned — one-shot sequential runs — should build a throwaway
-    :class:`World` directly instead of going through the registry.
-    """
-
-    def __init__(self, max_idle_per_tag: int = 8):
-        self.max_idle_per_tag = max_idle_per_tag
-        self._lock = threading.Lock()
-        self._idle: Dict[str, List[World]] = {}
-        self.built = 0
-        self.loaded = 0
-        self.reused = 0
-        self.saved = 0
-
-    def checkout(self, config: SimConfig, snapshot_dir: Optional[str] = None) -> World:
-        tag = world_tag(config)
-        with self._lock:
-            idle = self._idle.get(tag)
-            if idle:
-                self.reused += 1
-                return idle.pop()
-        if snapshot_dir is not None:
-            try:
-                world = load_world_snapshot(config, snapshot_dir)
-            except SnapshotError:
-                pass
-            else:
-                with self._lock:
-                    self.loaded += 1
-                return world
-        world = World(config)  # construction pauses the GC itself
-        with self._lock:
-            self.built += 1
-        if snapshot_dir is not None:
-            try:
-                save_world_snapshot(world, snapshot_dir)
-            except OSError:  # pragma: no cover - snapshot dir unwritable
-                pass
-            else:
-                with self._lock:
-                    self.saved += 1
-        return world
-
-    def checkin(self, world: World) -> None:
-        world.reset()
-        tag = world_tag(world.config)
-        with self._lock:
-            idle = self._idle.setdefault(tag, [])
-            if len(idle) < self.max_idle_per_tag:
-                idle.append(world)
-
-    def idle_count(self, config: SimConfig) -> int:
-        with self._lock:
-            return len(self._idle.get(world_tag(config), ()))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._idle.clear()
-            self.built = self.loaded = self.reused = self.saved = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "built": self.built,
-                "loaded": self.loaded,
-                "reused": self.reused,
-                "saved": self.saved,
-            }
-
-
-# One registry per process: pipeline worker processes each get their own
-# (fed by the on-disk snapshot), thread-mode tasks all share this one.
-_REGISTRY = WorldRegistry()
-
-
-def world_registry() -> WorldRegistry:
-    return _REGISTRY
-
-
-def checkout_world(config: SimConfig, snapshot_dir: Optional[str] = None) -> World:
-    """Acquire an exclusively owned world for *config* from the default
-    registry (pooled → snapshot → fresh build, in that order)."""
-    return _REGISTRY.checkout(config, snapshot_dir)
-
-
 def checkin_world(world: World) -> None:
-    """Release a world back to the default registry for reuse."""
-    _REGISTRY.checkin(world)
-
-
-def ensure_world_snapshot(config: SimConfig, snapshot_dir: str) -> str:
-    """Make sure a valid snapshot for *config* exists under
-    *snapshot_dir* (building one if needed) and return its path.
-
-    The pipeline parent calls this before spawning workers so the world
-    is built and signed exactly once; process workers then deserialize
-    and thread workers draw on the registry pool. The world that seeded
-    (or validated) the snapshot is parked in the in-process registry,
-    so the parent's own stages reuse it too. An unwritable snapshot
-    directory is tolerated — workers fall back to building, exactly as
-    if no snapshot had been requested."""
-    try:
-        # A full validating load, not a mere existence check: a stale or
-        # corrupt file left on disk would otherwise be "ready" here and
-        # then rejected by every worker, which would each rebuild.
-        world = load_world_snapshot(config, snapshot_dir)
-    except SnapshotError:
-        world = checkout_world(config)  # pooled or fresh, no disk read
-        try:
-            save_world_snapshot(world, snapshot_dir)
-        except OSError:  # pragma: no cover - snapshot dir unwritable
-            pass
-    checkin_world(world)
-    return snapshot_path(snapshot_dir, config)
+    """Reset *world* and park it as its config's idle world."""
+    world.reset()
+    _IDLE[world_tag(world.config)] = world

@@ -343,13 +343,14 @@ class World:
         cache (keyed per day) and the ECH key-generation table — are
         kept: their entries are pure functions of (config, date/hour).
         A reset world answers every query bit-for-bit like a freshly
-        built one, which is what lets the snapshot registry
-        (:mod:`~repro.simnet.snapshot`) hand one world to a sequence of
-        pipeline tasks instead of rebuilding per task.
+        built one, which is what lets
+        :func:`~repro.simnet.snapshot.checkin_world` park one world for
+        a sequence of pipeline tasks and ``Study`` sessions in a process
+        instead of rebuilding per task.
 
-        Installed fault schedules are cleared too: snapshots and
-        registry checkins must stay scenario-free, so every run
-        re-installs its own schedule after checkout."""
+        Installed fault schedules are cleared too: parked worlds must
+        stay scenario-free, so every run re-installs its own schedule
+        after checkout."""
         self.clear_faults()
         self.current_date = timeline.STUDY_START
         self.current_hour = 0.0
@@ -357,8 +358,8 @@ class World:
         self._zone_cache.clear()
         self._zone_cache_stamp = (self.current_date, 0)
         # Back to the just-built state: disarmed, empty, counters zeroed
-        # — a checked-in pooled world (or a snapshot about to be
-        # pickled) must not leak armed or stale fast-path state.
+        # — a checked-in world must not leak armed or stale fast-path
+        # state into its next checkout.
         self.answer_cache.reset()
         self._zone_bodies.clear()
         self.zone_builds = 0

@@ -11,10 +11,10 @@ all describe a study through three objects:
   the canonical cache tag: two studies with equal specs share a cached
   dataset, and nothing outside the spec may influence the tag.
 
-* :class:`ExecutionPlan` — **how** it runs. Workers, the
-  world-snapshot cache, GC policy, cache/checkpoint/release directories,
-  and the continuous partitioning. Every plan knob is guaranteed not to
-  change the resulting dataset (the continuous knobs do join the cache
+* :class:`ExecutionPlan` — **how** it runs. Workers, the answer fast
+  path, cache/checkpoint/release directories, and the continuous
+  partitioning. Every plan knob is guaranteed not to change the
+  resulting dataset (the continuous knobs do join the cache
   *key*, so a half-finished checkpoint can never alias a one-shot cache
   entry — but the finished dataset is value-equal either way).
   :meth:`ExecutionPlan.from_env` absorbs the ``REPRO_*`` bench knobs.
@@ -37,13 +37,18 @@ Where each knob lives::
     with_dnssec_snapshot                  StudySpec.with_dnssec_snapshot
     cache_dir                             ExecutionPlan.cache_dir
     workers                               ExecutionPlan.workers
-    snapshot_dir                          ExecutionPlan.snapshot_dir
+    answer_cache                          ExecutionPlan.answer_cache
     continuous                            ExecutionPlan.continuous
     checkpoint_dir                        ExecutionPlan.checkpoint_dir
     days_per_increment                    ExecutionPlan.days_per_increment
     max_increments                        ExecutionPlan.max_increments
+    release_dir                           ExecutionPlan.release_dir
     progress output                       Study.run(progress=...)
-    REPRO_WORKERS/SNAPSHOT/...            ExecutionPlan.from_env()
+    REPRO_WORKERS/CONTINUOUS/...          ExecutionPlan.from_env()
+
+Every run executes with cyclic GC paused
+(:func:`~repro.gcutils.paused_gc`): the world is an immortal object
+graph, and full-heap passes over it only cost time.
 
 Unknown field names raise ``TypeError`` at construction, so a
 misspelled option can never be silently cache-keyed. Cache paths keep
@@ -62,7 +67,6 @@ its manifest. Exposed on the CLI as ``repro-scan --release TAG``.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -205,28 +209,20 @@ class StudySpec:
 class ExecutionPlan:
     """How a study runs: knobs guaranteed not to change the dataset.
 
-    ``workers``/``snapshot_dir``/``executor``/``gc_policy``
-    trade wall-clock for resources; ``continuous`` +
+    ``workers`` shards the campaign across that many worker processes
+    (one runs inline); ``continuous`` +
     ``days_per_increment``/``max_increments``/``checkpoint_dir`` run the
     campaign as resumable (day-slice × domain-shard) increments against
     an on-disk checkpoint. The finished dataset is value-equal under
-    every combination (the headline guarantees of PRs 1-4); only the
-    continuous partitioning joins the cache key, so checkpoints never
-    alias one-shot cache entries. ``answer_cache`` arms the worlds'
-    layered answer fast path (rendered answers, zone-body reuse, wire
-    bytes — default on); like the other knobs it never changes the
-    dataset, so it stays out of ``StudySpec.cache_tag()``.
+    every combination; only the continuous partitioning joins the cache
+    key, so checkpoints never alias one-shot cache entries.
+    ``answer_cache`` arms the worlds' layered answer fast path (rendered
+    answers, zone-body reuse, wire bytes — default on); like the other
+    knobs it never changes the dataset, so it stays out of
+    ``StudySpec.cache_tag()``.
     """
 
     workers: int = 1
-    snapshot_dir: Optional[str] = None
-    executor: str = "process"
-    # "auto" leaves collection to the targeted pauses inside the
-    # machinery (world build, snapshot load); "pause"
-    # additionally suspends cyclic GC for the whole run — fastest on
-    # hosts with memory to spare, since full-heap passes over a built
-    # World dominate small-campaign timings.
-    gc_policy: str = "auto"
     cache_dir: str = _DEFAULT_CACHE_DIR
     continuous: bool = False
     checkpoint_dir: Optional[str] = None
@@ -244,10 +240,6 @@ class ExecutionPlan:
         object.__setattr__(self, "days_per_increment", int(self.days_per_increment))
         if self.max_increments is not None:
             object.__setattr__(self, "max_increments", int(self.max_increments))
-        if self.executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-        if self.gc_policy not in ("auto", "pause"):
-            raise ValueError(f"unknown gc_policy {self.gc_policy!r}")
         if self.days_per_increment < 1:
             raise ValueError("need at least one scan day per increment")
         if self.max_increments is not None and self.max_increments < 0:
@@ -269,11 +261,10 @@ class ExecutionPlan:
     def from_env(cls, environ: Optional[Mapping[str, str]] = None, **overrides) -> "ExecutionPlan":
         """A plan absorbing the ``REPRO_*`` bench knobs.
 
-        Reads ``REPRO_WORKERS``, ``REPRO_SNAPSHOT``
-        (world snapshots under ``<cache_dir>/worlds``),
-        ``REPRO_CONTINUOUS``, ``REPRO_ANSWER_CACHE`` (default on —
-        unlike the other flags, absence keeps the cache armed), and
-        ``REPRO_GC``; explicit *overrides* win over the environment.
+        Reads ``REPRO_WORKERS``, ``REPRO_CONTINUOUS`` and
+        ``REPRO_ANSWER_CACHE`` (default on — unlike the other flag,
+        absence keeps the cache armed); explicit *overrides* win over
+        the environment. Any other ``REPRO_*`` variable is ignored.
         """
         env = os.environ if environ is None else environ
         kwargs: Dict[str, object] = {}
@@ -284,13 +275,7 @@ class ExecutionPlan:
         kwargs["answer_cache"] = (
             str(env.get("REPRO_ANSWER_CACHE", "1")).lower() in ("1", "true", "yes", "on")
         )
-        gc_policy = env.get("REPRO_GC")
-        if gc_policy:
-            kwargs["gc_policy"] = gc_policy
         kwargs.update(overrides)
-        if _env_flag(env, "REPRO_SNAPSHOT") and "snapshot_dir" not in kwargs:
-            cache_dir = kwargs.get("cache_dir", _DEFAULT_CACHE_DIR)
-            kwargs["snapshot_dir"] = os.path.join(str(cache_dir), "worlds")
         return cls(**kwargs)
 
 
@@ -304,7 +289,7 @@ class Study:
     Construction is cheap (no worlds are built, no checkpoint is
     touched); the first ``run()``/``resume()`` materialises whatever the
     plan needs. The worker pool (and, for continuous plans, the
-    collector with its warm per-process world registries) persists
+    collector with its warm per-process idle worlds) persists
     across calls until :meth:`close` — interrupt-and-resume loops reuse
     it instead of paying spin-up per attempt.
     """
@@ -530,8 +515,7 @@ class Study:
         if cached is not None:
             self._dataset = cached
             return cached
-        gc_window = paused_gc() if self.plan.gc_policy == "pause" else contextlib.nullcontext()
-        with gc_window:
+        with paused_gc():
             dataset = self._execute(max_increments, progress)
         self._dataset = dataset
         try:
@@ -546,8 +530,7 @@ class Study:
                 progress=progress, max_increments=max_increments
             )
         # The runner owns every one-shot path, including workers == 1
-        # (inline serial execution, through the snapshot registry when
-        # plan.snapshot_dir is set) — one warm-up implementation, not a
+        # (inline serial execution) — one warm-up implementation, not a
         # fork of it here.
         return self._runner_session().run_schedule(self.schedule, progress=progress)
 
@@ -556,8 +539,6 @@ class Study:
             self._runner = ParallelCampaignRunner(
                 self.spec.config,
                 workers=self.plan.workers,
-                executor=self.plan.executor,
-                snapshot_dir=self.plan.snapshot_dir,
                 schedule=self.schedule,
                 keep_alive=True,
                 scenario=self.spec.scenario,
@@ -573,8 +554,6 @@ class Study:
                 workers=self.plan.workers,
                 day_step=self.spec.day_step,
                 days_per_increment=self.plan.days_per_increment,
-                snapshot_dir=self.plan.snapshot_dir,
-                executor=self.plan.executor,
                 keep_alive=True,
                 scenario=self.spec.scenario,
                 answer_cache=self.plan.answer_cache,

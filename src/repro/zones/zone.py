@@ -29,8 +29,7 @@ class ZoneError(ValueError):
 class Zone:
     """A single DNS zone."""
 
-    # Process-wide instance counter (itertools.count is atomic under the
-    # GIL, so thread-pooled worlds can build zones concurrently).
+    # Process-wide instance counter.
     _uid_counter = itertools.count()
 
     def __init__(
@@ -82,7 +81,7 @@ class Zone:
     def __setstate__(self, state):
         self.__dict__.update(state)
         # A pickled uid is only unique within the process that assigned
-        # it. A snapshot-loaded zone coexisting with freshly-built zones
+        # it. An unpickled zone coexisting with freshly-built zones
         # must not alias one of their uids, so unpickling always draws a
         # new one (answer-cache entries are never pickled, so no live
         # key references the discarded uid).

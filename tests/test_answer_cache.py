@@ -150,14 +150,14 @@ class TestExecutionModeEquivalence:
 
     def test_sharded(self, serial_off):
         parallel = ParallelCampaignRunner(
-            CONFIG, workers=3, executor="thread", answer_cache=True, **ECH_KWARGS
+            CONFIG, workers=3, answer_cache=True, **ECH_KWARGS
         ).run()
         assert parallel == serial_off
         assert parallel.run_stats.answer_hits > 0
 
     def test_sharded_cache_off_still_equal(self, serial_off):
         parallel = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="thread", answer_cache=False, **ECH_KWARGS
+            CONFIG, workers=2, answer_cache=False, **ECH_KWARGS
         ).run()
         assert parallel == serial_off
         assert parallel.run_stats.answer_hits == 0
@@ -165,13 +165,13 @@ class TestExecutionModeEquivalence:
     def test_continuous_kill_and_resume(self, serial_off, tmp_path):
         collector = ContinuousCollector(
             CONFIG, str(tmp_path / "ckpt"), workers=2, days_per_increment=2,
-            executor="thread", answer_cache=True, **ECH_KWARGS
+            answer_cache=True, **ECH_KWARGS
         )
         with pytest.raises(CollectionInterrupted):
             collector.collect(max_increments=1)
         resumed = ContinuousCollector(
             CONFIG, str(tmp_path / "ckpt"), workers=2, days_per_increment=2,
-            executor="thread", answer_cache=True, **ECH_KWARGS
+            answer_cache=True, **ECH_KWARGS
         ).collect()
         assert resumed == serial_off
 

@@ -48,7 +48,6 @@ BASELINE = os.path.join(REPO_ROOT, "codelint-baseline.json")
 PROJECT_FIXTURES = {
     "det2": {"DET02"},
     "layer": {"LAYER01"},
-    "race": {"RACE01"},
     "dead": {"DEAD01"},
 }
 
@@ -523,15 +522,9 @@ class TestProjectFixturePairs:
         assert len(findings) == 2
         assert all("import cycle" in f.message for f in findings)
 
-    def test_race_fires_on_both_branches(self):
-        tree = os.path.join(FIXTURES, "race", "bad_unlocked")
-        messages = [f.message for f in lint_paths([tree])]
-        assert any("outside 'with self._lock:'" in m for m in messages)
-        assert any("module-level shared state" in m for m in messages)
-
     def test_project_rules_are_registered(self):
         codes = {rule.code for rule in project_scope_rules()}
-        assert codes == {"DET02", "LAYER01", "RACE01", "DEAD01"}
+        assert codes == {"DET02", "LAYER01", "DEAD01"}
         assert all(
             isinstance(rule, ProjectRule) for rule in project_scope_rules()
         )
@@ -542,30 +535,6 @@ class TestProjectMutations:
     """The acceptance mutations for the project scope: reintroduce each
     historical cross-module bug shape into today's source and prove the
     matching rule fires."""
-
-    def test_unlocking_signature_memo_fires_race01(self):
-        signing_py = os.path.join(SRC, "repro", "dnssec", "signing.py")
-        with open(signing_py) as handle:
-            source = handle.read()
-        # Drop the lock from SignatureMemo.sign's fast path: the memo is
-        # shared across the pipeline's thread-mode workers, so the
-        # unguarded move_to_end/hit-count writes are a data race.
-        mutated = source.replace(
-            "        with self._lock:\n"
-            "            signature = self._entries.get(memo_key)",
-            "        if True:\n"
-            "            signature = self._entries.get(memo_key)",
-        )
-        assert mutated != source, "mutation did not apply"
-        clean = project_findings([parse_source(signing_py)])
-        assert [f for f in clean if f.code == "RACE01"] == []
-        findings = project_findings([parse_source(signing_py, text=mutated)])
-        race = [f for f in findings if f.code == "RACE01"]
-        assert race, findings
-        assert any(
-            "SignatureMemo.sign" in f.message and "self._lock" in f.message
-            for f in race
-        ), race
 
     def test_upward_import_in_wire_fires_layer01(self):
         wire_py = os.path.join(SRC, "repro", "dnscore", "wire.py")
@@ -672,7 +641,7 @@ class TestProjectEngine:
         assert run.findings == []
         payload = run.stats_json()
         assert set(payload) == {"files", "rules"}
-        for code in ("DET01", "DET02", "LAYER01", "RACE01", "DEAD01", "graph"):
+        for code in ("DET01", "DET02", "LAYER01", "DEAD01", "graph"):
             assert code in payload["rules"], code
             assert set(payload["rules"][code]) == {"seconds", "findings"}
 
@@ -688,7 +657,7 @@ class TestProjectEngine:
 
     def test_full_tree_lints_clean_in_both_scopes(self):
         """The acceptance gate: today's src/ has no DET02/LAYER01/
-        RACE01/DEAD01 findings left (true positives were fixed or carry
+        DEAD01 findings left (true positives were fixed or carry
         verified suppressions)."""
         findings = lint_paths([SRC])
         assert findings == [], findings
@@ -759,6 +728,6 @@ class TestCliProjectFlags:
     def test_list_rules_shows_project_scope(self, capsys):
         assert codelint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET02", "LAYER01", "RACE01", "DEAD01"):
+        for code in ("DET02", "LAYER01", "DEAD01"):
             assert code in out
         assert "project]" in out

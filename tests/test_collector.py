@@ -80,7 +80,6 @@ def _collector(
         str(checkpoint_dir),
         workers=workers,
         days_per_increment=days_per_increment,
-        executor="thread",
         scenario=scenario,
         **kwargs,
     )
@@ -188,7 +187,7 @@ class TestAxisComposition:
         schedule = build_schedule(**ECH_KWARGS)
         slices = [schedule.scan_days[i : i + 2] for i in range(0, len(schedule.scan_days), 2)]
         runner = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="thread", schedule=schedule, keep_alive=True
+            CONFIG, workers=2, schedule=schedule, keep_alive=True
         )
         with runner:
             parts, seen = [], set()
@@ -344,7 +343,6 @@ class TestCheckpointIdentity:
                 str(tmp_path / "ckpt"),
                 workers=2,
                 days_per_increment=1,
-                executor="thread",
                 **TINY_KWARGS,
             )
 

@@ -85,16 +85,16 @@ class TestEquivalence:
     def ech_week_pair(self):
         sequential = run_campaign(World(CONFIG), **self.ECH_KWARGS)
         parallel = ParallelCampaignRunner(
-            CONFIG, workers=4, executor="process", **self.ECH_KWARGS
+            CONFIG, workers=4, **self.ECH_KWARGS
         ).run()
         return sequential, parallel
 
     @pytest.fixture(scope="class")
     def late_window_pair(self):
-        """DNSSEC snapshot + connectivity window, thread executor."""
+        """DNSSEC snapshot + connectivity window, three workers."""
         sequential = run_campaign(World(CONFIG), **self.LATE_KWARGS)
         parallel = ParallelCampaignRunner(
-            CONFIG, workers=3, executor="thread", **self.LATE_KWARGS
+            CONFIG, workers=3, **self.LATE_KWARGS
         ).run()
         return sequential, parallel
 

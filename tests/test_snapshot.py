@@ -1,18 +1,15 @@
-"""Tests for the world snapshot cache, the reuse registry, and RRSIG
+"""Tests for world identity, in-process world reuse, and RRSIG
 memoisation.
 
-The load-bearing property is *equivalence*: a world deserialized from a
-snapshot, or checked back out of the registry after a reset, must drive
-campaigns to datasets value-equal to a freshly built world's — across
-the daily, post-merge NS, hourly ECH, and DNSSEC stages. Broken, stale,
-or version-mismatched snapshots must be rejected loudly and rebuilt,
-never served quietly. Signature memoisation must be invisible: byte-
-identical RRSIGs whether the memo is cold, hot, or disabled.
+The load-bearing property is *equivalence*: a world checked back out
+of the idle pool after a reset must drive campaigns to datasets
+value-equal to a freshly built world's, and a process that runs several
+stages or ``Study`` sessions builds its world once. Signature
+memoisation must be invisible: byte-identical RRSIGs whether the memo
+is cold, hot, or disabled.
 """
 
 import datetime
-import os
-import pickle
 
 import pytest
 
@@ -22,20 +19,18 @@ from repro.dnscore.rdata import ARdata
 from repro.dnscore.rrset import RRset
 from repro.dnssec.keys import ZoneKeySet, verify_blob
 from repro.dnssec.signing import SignatureMemo, sign_rrset, signing_input
-from repro.scanner import ParallelCampaignRunner, run_campaign
+from repro.scanner import CollectionInterrupted, run_campaign
 from repro.simnet import (
     SimConfig,
-    SnapshotError,
     World,
-    WorldRegistry,
-    load_world_snapshot,
-    save_world_snapshot,
-    snapshot_path,
+    checkin_world,
+    checkout_world,
     timeline,
     world_tag,
 )
 from repro.simnet import snapshot as snapshot_mod
 from repro.simnet import world as world_mod
+from repro.study import ExecutionPlan, Study, StudySpec
 
 POPULATION = 150
 CONFIG = SimConfig(population=POPULATION)
@@ -46,208 +41,32 @@ ECH_KWARGS = dict(
     end=datetime.date(2023, 7, 31),
     ech_sample=5,
 )
-LATE_KWARGS = dict(
-    day_step=14,
-    start=datetime.date(2023, 12, 20),
-    end=datetime.date(2024, 2, 5),
-    with_ech_hourly=False,
-)
+
+
+@pytest.fixture()
+def world_builds(monkeypatch):
+    """An empty idle pool, and the configs of every world it builds."""
+    builds = []
+
+    class CountingWorld(World):
+        def __init__(self, config):
+            builds.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(snapshot_mod, "_IDLE", {})
+    monkeypatch.setattr(snapshot_mod, "World", CountingWorld)
+    return builds
 
 
 # ---------------------------------------------------------------------------
-# snapshot file format
-# ---------------------------------------------------------------------------
-
-
-class TestSnapshotFile:
-    def test_round_trip_restores_the_world(self, tmp_path):
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        assert os.path.exists(path)
-        world = load_world_snapshot(CONFIG, str(tmp_path))
-        assert isinstance(world, World)
-        assert world.config == CONFIG
-        assert len(world.profiles) == POPULATION
-        assert [p.name for p in world.profiles] == [
-            p.name for p in World(CONFIG).profiles
-        ]
-
-    def test_missing_snapshot_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError, match="no snapshot"):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_corrupt_payload_rejected(self, tmp_path):
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        payload = bytearray(record["payload"])
-        payload[len(payload) // 2] ^= 0xFF
-        record["payload"] = bytes(payload)
-        with open(path, "wb") as handle:
-            pickle.dump(record, handle, protocol=4)
-        with pytest.raises(SnapshotError, match="integrity"):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        blob = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(blob[: len(blob) // 3])
-        with pytest.raises(SnapshotError):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        record["version"] = snapshot_mod.SNAPSHOT_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(record, handle, protocol=4)
-        with pytest.raises(SnapshotError, match="version"):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_code_fingerprint_mismatch_rejected(self, tmp_path):
-        """A snapshot written by different repro source code is stale
-        even when the config tag and payload are intact."""
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        record["code"] = "0123456789abcdef"
-        with open(path, "wb") as handle:
-            pickle.dump(record, handle, protocol=4)
-        with pytest.raises(SnapshotError, match="different repro code"):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_ensure_replaces_invalid_file_even_with_pooled_world(self, tmp_path):
-        """ensure_world_snapshot must leave a *valid* file behind: a
-        corrupt leftover is rewritten even when the registry pool can
-        satisfy the checkout without touching the disk."""
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        with open(path, "wb") as handle:
-            handle.write(b"garbage")
-        snapshot_mod.checkin_world(World(CONFIG))  # pool has a world
-        assert snapshot_mod.ensure_world_snapshot(CONFIG, str(tmp_path)) == path
-        load_world_snapshot(CONFIG, str(tmp_path))  # valid again
-        snapshot_mod.world_registry().clear()
-
-    def test_foreign_object_rejected(self, tmp_path):
-        path = snapshot_path(str(tmp_path), CONFIG)
-        os.makedirs(str(tmp_path), exist_ok=True)
-        with open(path, "wb") as handle:
-            pickle.dump({"not": "a snapshot"}, handle)
-        with pytest.raises(SnapshotError, match="not a world snapshot"):
-            load_world_snapshot(CONFIG, str(tmp_path))
-
-    def test_config_tag_mismatch_rejected(self, tmp_path):
-        """A snapshot renamed (or copied) onto another config's path is
-        caught by the tag recorded in the header."""
-        other = SimConfig(population=POPULATION, seed="other-seed")
-        source = save_world_snapshot(World(CONFIG), str(tmp_path))
-        os.replace(source, snapshot_path(str(tmp_path), other))
-        with pytest.raises(SnapshotError, match="different config"):
-            load_world_snapshot(other, str(tmp_path))
-
-    def test_tag_covers_every_config_field(self):
-        assert world_tag(CONFIG) != world_tag(
-            SimConfig(population=POPULATION, negative_ttl=61)
-        )
-
-    def test_checkout_rebuilds_and_rewrites_after_corruption(self, tmp_path):
-        registry = WorldRegistry()
-        path = save_world_snapshot(World(CONFIG), str(tmp_path))
-        with open(path, "wb") as handle:
-            handle.write(b"garbage")
-        world = registry.checkout(CONFIG, str(tmp_path))
-        assert registry.stats()["built"] == 1  # fell back to a fresh build
-        assert registry.stats()["saved"] == 1  # and replaced the bad file
-        assert len(world.profiles) == POPULATION
-        load_world_snapshot(CONFIG, str(tmp_path))  # rewritten copy is valid
-
-
-# ---------------------------------------------------------------------------
-# equivalence: snapshot-loaded and registry-reused worlds
+# equivalence: reused worlds
 # ---------------------------------------------------------------------------
 
 
 class TestEquivalence:
     @pytest.fixture(scope="class")
-    def snapshot_dir(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("worlds")
-        save_world_snapshot(World(CONFIG), str(directory))
-        return str(directory)
-
-    @pytest.fixture(scope="class")
     def ech_week_fresh(self):
         return run_campaign(World(CONFIG), **ECH_KWARGS)
-
-    @pytest.fixture(scope="class")
-    def late_window_fresh(self):
-        return run_campaign(World(CONFIG), **LATE_KWARGS)
-
-    def test_loaded_world_reproduces_ech_week(self, snapshot_dir, ech_week_fresh):
-        """Daily + hourly-ECH stages on a deserialized world."""
-        loaded = load_world_snapshot(CONFIG, snapshot_dir)
-        dataset = run_campaign(loaded, **ECH_KWARGS)
-        assert dataset.ech_observations, "window must exercise the hourly scan"
-        assert dataset == ech_week_fresh
-
-    def test_loaded_world_reproduces_late_window(self, snapshot_dir, late_window_fresh):
-        """NS-IP, connectivity, and DNSSEC stages on a deserialized world."""
-        loaded = load_world_snapshot(CONFIG, snapshot_dir)
-        dataset = run_campaign(loaded, **LATE_KWARGS)
-        assert dataset.dnssec_snapshot, "window must cover the DNSSEC snapshot"
-        assert any(s.ns_observations for s in dataset.snapshots.values())
-        assert dataset == late_window_fresh
-
-    def test_pipeline_with_warm_snapshot_equal(self, snapshot_dir, late_window_fresh):
-        """Process workers warmed from the snapshot merge to the same
-        dataset as a no-snapshot sequential run."""
-        dataset = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="process",
-            snapshot_dir=snapshot_dir, **LATE_KWARGS
-        ).run()
-        assert dataset == late_window_fresh
-
-    def test_thread_pipeline_with_snapshot_builds_once(
-        self, snapshot_dir, ech_week_fresh
-    ):
-        """With a snapshot available, concurrent thread tasks load or
-        reuse — never each construct their own world."""
-        registry = snapshot_mod.world_registry()
-        registry.clear()
-        dataset = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="thread",
-            snapshot_dir=snapshot_dir, **ECH_KWARGS
-        ).run()
-        assert dataset == ech_week_fresh
-        stats = registry.stats()
-        assert stats["built"] == 0, "every task must load or reuse, not build"
-        assert stats["loaded"] >= 1
-
-    def test_unwritable_snapshot_dir_falls_back_to_building(
-        self, tmp_path, late_window_fresh
-    ):
-        """A snapshot_dir that cannot hold files (here: a regular file)
-        degrades to build-per-worker instead of crashing the run."""
-        bogus = tmp_path / "not-a-directory"
-        bogus.write_text("occupied")
-        dataset = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="process",
-            snapshot_dir=str(bogus), **LATE_KWARGS
-        ).run()
-        assert dataset == late_window_fresh
-
-    def test_thread_pipeline_reuses_registry_worlds(self, ech_week_fresh):
-        """Thread-mode tasks draw pooled worlds (one build per concurrent
-        task, reuse across stages) and still merge to the exact dataset."""
-        registry = snapshot_mod.world_registry()
-        registry.clear()
-        dataset = ParallelCampaignRunner(
-            CONFIG, workers=2, executor="thread", **ECH_KWARGS
-        ).run()
-        stats = registry.stats()
-        assert dataset == ech_week_fresh
-        assert stats["built"] <= 2, "stage tasks must not rebuild per task"
-        assert stats["reused"] >= 1, "later stages must reuse pooled worlds"
 
     def test_reset_world_reproduces_campaign(self, ech_week_fresh):
         world = World(CONFIG)
@@ -259,6 +78,33 @@ class TestEquivalence:
         # Transport counters restart at reset, so both runs report the
         # same work (a reused world does not inherit the first run's).
         assert second.run_stats.dns_queries == first.run_stats.dns_queries
+
+    def test_continuous_sessions_build_one_world(
+        self, ech_week_fresh, world_builds, tmp_path
+    ):
+        """One Study session per increment, all in this process: every
+        stage of every session checks out the same parked world, and
+        the fold still equals the one-shot run."""
+        spec = StudySpec(CONFIG, **ECH_KWARGS)
+        plan = ExecutionPlan(
+            continuous=True,
+            days_per_increment=1,
+            max_increments=1,
+            cache_dir=str(tmp_path / "cache"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        sessions = 0
+        while True:
+            sessions += 1
+            with Study(spec, plan) as study:
+                try:
+                    dataset = study.run()
+                    break
+                except CollectionInterrupted:
+                    continue
+        assert sessions >= 3
+        assert world_builds == [CONFIG]
+        assert dataset == ech_week_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +137,53 @@ class TestWorldReset:
 
 
 # ---------------------------------------------------------------------------
-# registry semantics
+# checkout / checkin
 # ---------------------------------------------------------------------------
 
 
 class TestWorldRegistry:
     SMALL = SimConfig(population=60)
 
-    def test_checkout_is_exclusive(self):
-        registry = WorldRegistry()
-        first = registry.checkout(self.SMALL)
-        second = registry.checkout(self.SMALL)
+    def test_checkout_is_exclusive(self, world_builds):
+        first = checkout_world(self.SMALL)
+        second = checkout_world(self.SMALL)
         assert first is not second
+        assert len(world_builds) == 2
 
-    def test_checkin_then_checkout_reuses(self):
-        registry = WorldRegistry()
-        world = registry.checkout(self.SMALL)
-        registry.checkin(world)
-        assert registry.checkout(self.SMALL) is world
-        assert registry.stats() == {"built": 1, "loaded": 0, "reused": 1, "saved": 0}
+    def test_checkin_then_checkout_reuses(self, world_builds):
+        world = checkout_world(self.SMALL)
+        checkin_world(world)
+        assert checkout_world(self.SMALL) is world
+        assert len(world_builds) == 1
 
-    def test_pool_is_keyed_by_config(self):
-        registry = WorldRegistry()
-        registry.checkin(registry.checkout(self.SMALL))
+    def test_pool_is_keyed_by_config(self, world_builds):
+        checkin_world(checkout_world(self.SMALL))
         other = SimConfig(population=61)
-        world = registry.checkout(other)
+        world = checkout_world(other)
         assert len(world.profiles) == 61
-        assert registry.stats()["reused"] == 0
+        assert world_builds == [self.SMALL, other]
 
-    def test_idle_pool_is_bounded(self):
-        registry = WorldRegistry(max_idle_per_tag=1)
-        first = registry.checkout(self.SMALL)
-        second = registry.checkout(self.SMALL)
-        registry.checkin(first)
-        registry.checkin(second)  # over the cap: dropped, not pooled
-        assert registry.idle_count(self.SMALL) == 1
+    def test_idle_pool_is_bounded(self, world_builds):
+        """One idle world per config: a second checkin replaces the
+        first, so the next two checkouts reuse one and build one."""
+        first = checkout_world(self.SMALL)
+        second = checkout_world(self.SMALL)
+        checkin_world(first)
+        checkin_world(second)
+        assert checkout_world(self.SMALL) is second
+        assert checkout_world(self.SMALL) is not first
+        assert len(world_builds) == 3
 
-    def test_checkin_resets(self):
-        registry = WorldRegistry()
-        world = registry.checkout(self.SMALL)
+    def test_checkin_resets(self, world_builds):
+        world = checkout_world(self.SMALL)
         world.set_time(datetime.date(2023, 10, 1))
-        registry.checkin(world)
+        checkin_world(world)
         assert world.current_date == timeline.STUDY_START
+
+    def test_tag_covers_every_config_field(self):
+        assert world_tag(CONFIG) != world_tag(
+            SimConfig(population=POPULATION, negative_ttl=61)
+        )
 
 
 # ---------------------------------------------------------------------------

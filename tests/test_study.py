@@ -127,8 +127,7 @@ class TestCacheTagGolden:
         tuned = Study(
             spec,
             ExecutionPlan(
-                cache_dir=str(tmp_path), workers=4,
-                snapshot_dir=str(tmp_path / "worlds"), gc_policy="pause",
+                cache_dir=str(tmp_path), workers=4, answer_cache=False,
             ),
         )
         assert plain.cache_path == tuned.cache_path
@@ -145,8 +144,15 @@ class TestValidation:
             StudySpec(TINY_CONFIG, dya_step=7)
 
     def test_plan_rejects_unknown_fields(self):
-        with pytest.raises(TypeError):
-            ExecutionPlan(wrokers=2)
+        # A typo, then the retired knobs: a plan naming one fails loudly.
+        for field in (
+            {"wrokers": 2},
+            {"snapshot_dir": "worlds"},
+            {"executor": "thread"},
+            {"gc_policy": "pause"},
+        ):
+            with pytest.raises(TypeError):
+                ExecutionPlan(**field)
 
     def test_spec_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -166,10 +172,6 @@ class TestValidation:
         assert ExecutionPlan(workers=-3).workers == 1
 
     def test_plan_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(executor="fibers")
-        with pytest.raises(ValueError):
-            ExecutionPlan(gc_policy="yolo")
         with pytest.raises(ValueError):
             ExecutionPlan(continuous=True, days_per_increment=0)
         with pytest.raises(ValueError):
@@ -199,17 +201,11 @@ class TestValidation:
 class TestPlanFromEnv:
     def test_reads_bench_knobs(self):
         plan = ExecutionPlan.from_env(
-            {
-                "REPRO_WORKERS": "3",
-                "REPRO_SNAPSHOT": "yes",
-                "REPRO_GC": "pause",
-            },
+            {"REPRO_WORKERS": "3"},
             cache_dir="/bench/cache",
         )
         assert plan.workers == 3
         assert plan.continuous is False
-        assert plan.gc_policy == "pause"
-        assert plan.snapshot_dir == os.path.join("/bench/cache", "worlds")
 
     def test_continuous_knob(self):
         assert ExecutionPlan.from_env({"REPRO_CONTINUOUS": "1"}).continuous
@@ -217,14 +213,13 @@ class TestPlanFromEnv:
     def test_empty_environment_is_the_default_plan(self):
         assert ExecutionPlan.from_env({}) == ExecutionPlan()
 
+    def test_retired_knobs_are_ignored(self):
+        environ = {"REPRO_SNAPSHOT": "1", "REPRO_GC": "pause"}
+        assert ExecutionPlan.from_env(environ) == ExecutionPlan()
+
     def test_overrides_beat_environment(self):
-        plan = ExecutionPlan.from_env(
-            {"REPRO_WORKERS": "3", "REPRO_SNAPSHOT": "1"},
-            workers=1,
-            snapshot_dir="/explicit",
-        )
+        plan = ExecutionPlan.from_env({"REPRO_WORKERS": "3"}, workers=1)
         assert plan.workers == 1
-        assert plan.snapshot_dir == "/explicit"
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +320,6 @@ class TestLifecycle:
         plan = ExecutionPlan(
             continuous=True,
             workers=2,
-            executor="thread",
             days_per_increment=5,
             max_increments=2,
             cache_dir=str(tmp_path / "cache"),
@@ -368,7 +362,7 @@ class TestLifecycle:
         of another world's fold."""
         checkpoint = str(tmp_path / "ckpt")
         plan = ExecutionPlan(
-            continuous=True, checkpoint_dir=checkpoint, executor="thread",
+            continuous=True, checkpoint_dir=checkpoint,
             days_per_increment=1, max_increments=1,
             cache_dir=str(tmp_path / "cache-a"),
         )
