@@ -28,7 +28,7 @@ from ..simnet import timeline
 from ..simnet.faults import FaultSchedule
 from ..simnet.world import World
 from .dataset import DailySnapshot, Dataset
-from .engine import ScanEngine
+from .engine import ScanEngine, share
 
 
 @dataclasses.dataclass
@@ -329,7 +329,7 @@ def _scan_one_day(
         profile = world.profile_by_name(name_text)
         if profile is None:  # pragma: no cover - registry is complete
             continue
-        apex_obs = engine.scan_name(profile.apex, "apex")
+        apex_obs = engine.scan_name(profile.apex, "apex", text=name_text)
         if not in_ns_window:
             # Table 1: SOA/NS collection starts 2023-08-16.
             apex_obs.ns_names = ()
@@ -383,7 +383,7 @@ def _ns_name_tuple(ns_response, apex) -> Tuple[str, ...]:
     ns_rrset = ns_response.get_answer(apex, rdtypes.NS)
     if ns_rrset is None:
         return ()
-    return tuple(sorted(rd.target.to_text(omit_final_dot=True) for rd in ns_rrset))
+    return share(tuple(sorted(share(rd.target.to_text(omit_final_dot=True)) for rd in ns_rrset)))
 
 
 def ns_hostnames_of(snapshot: DailySnapshot) -> set:

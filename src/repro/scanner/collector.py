@@ -66,7 +66,7 @@ import datetime
 import json
 import os
 import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..simnet.config import SimConfig
 from ..simnet.faults import FaultSchedule
@@ -138,6 +138,8 @@ class CheckpointStore:
         self._validate_or_init(meta)
         self._journal: Dict[Tuple[int, int], str] = {}
         self._load_journal()
+        # Slices whose fold was lost (see load_merged); they re-run.
+        self._lost_slices: Set[int] = set()
 
     # -- identity ----------------------------------------------------------
 
@@ -277,9 +279,19 @@ class CheckpointStore:
         except FileNotFoundError:  # fresh checkpoint: no fold yet
             return None
         except (OSError, DatasetFileError) as exc:
+            # Journalled parts whose files are gone were folded into the
+            # lost dataset and then dropped (drop_slice_parts): forget
+            # them, so their slices re-run without a warning per part.
+            lost = [
+                key for key, rel in self._journal.items()
+                if not os.path.exists(os.path.join(self.directory, rel))
+            ]
+            for key in lost:
+                del self._journal[key]
+            self._lost_slices.update(slice_index for slice_index, _ in lost)
             warnings.warn(
-                f"ignoring unreadable merged dataset {self._merged_path}: "
-                f"{exc} (the fold restarts from the journalled parts)",
+                f"ignoring unreadable merged dataset {self._merged_path}: {exc}; "
+                f"the slices folded into it re-run: {sorted(self._lost_slices)}",
                 RuntimeWarning,
                 stacklevel=2,
             )

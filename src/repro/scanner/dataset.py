@@ -8,10 +8,23 @@ File format (the dataset cache, checkpoint parts, the merged fold and
 release snapshots all go through :meth:`Dataset.save`/:meth:`Dataset.load`):
 one gzip member holding a protocol-4 pickle of the :class:`Dataset`.
 
+* Every object in the pickle is stored as a field tuple, never as a
+  slot-name -> value dict: the records and :class:`DailySnapshot` as
+  their class and constructor fields, the :class:`Dataset` as its state
+  tuple (``_STATE``, which leaves out ``loaded_from_cache``). Values the
+  scanner shares (see :mod:`~repro.scanner.records`) are written once.
+* The encoding is canonical: loading a file and saving the result gives
+  the same bytes. Pickle restores which values are shared, and no slot
+  name is written that a value string could alias (``kind="apex"`` is
+  the very object of the ``apex`` slot name).
+* Files with the older slot-state encoding still load: the record
+  classes keep pickle's default restore, and ``DailySnapshot`` and
+  ``Dataset`` accept the old state in ``__setstate__``.
 * The gzip level is ``_LEVEL``: the lowest level whose file is within 5%
   of level 9's size, chosen from the sweep in
   ``bench_results/BENCH_dataset_codec.json``.
-* The gzip header's mtime is zero, so equal datasets give equal files.
+* The gzip header's mtime is zero, so saving a dataset twice gives the
+  same file.
 * Pickling and unpickling run with the cyclic collector paused
   (:func:`~repro.gcutils.paused_gc`).
 * The write is atomic: the bytes go to a temporary file in the target
@@ -46,7 +59,7 @@ from .records import (
 )
 
 _PICKLE_PROTOCOL = 4
-_LEVEL = 6
+_LEVEL = 5
 
 
 class DatasetFileError(Exception):
@@ -84,6 +97,18 @@ class DailySnapshot(_SlotsEqualityMixin):
         # NS sets of domains that previously published HTTPS but do not
         # today (deactivation follow-up; () means no NS records at all).
         self.watchlist_ns: Dict[str, Tuple[str, ...]] = {}
+
+    def __reduce__(self):
+        # The constructor takes (date, ranked_names); the other slots
+        # travel as a field tuple, in slot order.
+        fields = self._fields(self)
+        return self.__class__, fields[:2], fields[2:]
+
+    def __setstate__(self, state) -> None:
+        # An older writer's state is (None, {slot: value}).
+        items = state[1].items() if state[0] is None else zip(self.__slots__[2:], state)
+        for slot, value in items:
+            setattr(self, slot, value)
 
     @property
     def list_size(self) -> int:
@@ -170,6 +195,28 @@ class Dataset:
         # True when this instance came from Dataset.load rather than a
         # live campaign run (so run_stats describes the originating run,
         # not the current invocation). Set by load(); not persisted.
+        self.loaded_from_cache = False
+
+    # What a file holds, in order: everything but loaded_from_cache.
+    _STATE = (
+        "population",
+        "seed",
+        "day_step",
+        "snapshots",
+        "ech_observations",
+        "dnssec_snapshot",
+        "dnssec_snapshot_date",
+        "run_stats",
+    )
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._STATE)
+
+    def __setstate__(self, state) -> None:
+        # An older writer's state is the instance __dict__.
+        items = state.items() if isinstance(state, dict) else zip(self._STATE, state)
+        for key, value in items:
+            setattr(self, key, value)
         self.loaded_from_cache = False
 
     def __eq__(self, other: object):

@@ -40,17 +40,25 @@ from .records import (
     NameServerObservation,
 )
 
-_ALPN_INTERN: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+# The process's one copy of each distinct immutable value the scanner
+# stores in records (see the records module): strings, bytes, tuples of
+# these, and HttpsRecordViews. Keys carry the type, since 1 == True
+# would otherwise hand back a value of the other type. Like Name.from_text's
+# cache, the table is emptied when it grows past a bound; that only
+# loses sharing, never a value.
+_SHARED: Dict[tuple, object] = {}
+_SHARED_BOUND = 200_000
 
 
-def _intern_alpn(alpn: Optional[Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
-    if alpn is None:
-        return None
-    return _ALPN_INTERN.setdefault(alpn, alpn)
+def share(value):
+    """The shared copy of the immutable *value* (equal, same type)."""
+    if len(_SHARED) >= _SHARED_BOUND:
+        _SHARED.clear()
+    return _SHARED.setdefault((value.__class__, value), value)
 
 
 def parse_https_rdata(rdata: HTTPSRdata) -> HttpsRecordView:
-    """Flatten an HTTPS rdata into the scanner's view."""
+    """Flatten an HTTPS rdata into the scanner's (shared) view."""
     params = rdata.params
     ech_digest = None
     public_name = None
@@ -62,19 +70,25 @@ def parse_https_rdata(rdata: HTTPSRdata) -> HttpsRecordView:
         if config_list is not None:
             public_name = config_list.primary().public_name
             config_id = config_list.primary().config_id
-    return HttpsRecordView(
-        priority=rdata.priority,
-        target=rdata.target.to_text(),
-        alpn=_intern_alpn(params.alpn),
-        port=params.port,
-        ipv4hints=params.ipv4hint,
-        ipv6hints=params.ipv6hint,
-        has_ech=has_ech,
-        ech_digest=ech_digest,
-        ech_public_name=public_name,
-        ech_config_id=config_id,
-        has_mandatory=bool(params.mandatory_keys),
+    fields = (
+        rdata.priority,
+        rdata.target.to_text(),
+        params.alpn,
+        params.port,
+        params.ipv4hint,
+        params.ipv6hint,
+        has_ech,
+        ech_digest,
+        public_name,
+        config_id,
+        bool(params.mandatory_keys),
     )
+    key = (HttpsRecordView, fields)
+    view = _SHARED.get(key)
+    if view is None:
+        view = HttpsRecordView(*(share(field) for field in fields))
+        _SHARED[key] = view
+    return view
 
 
 class ScanEngine:
@@ -86,8 +100,14 @@ class ScanEngine:
 
     # -- single-name scan -------------------------------------------------
 
-    def scan_name(self, name: Name, kind: str, follow_up: bool = True) -> DomainObservation:
-        """Scan one name per the §4.1 methodology."""
+    def scan_name(
+        self, name: Name, kind: str, follow_up: bool = True, text: Optional[str] = None
+    ) -> DomainObservation:
+        """Scan one name per the §4.1 methodology.
+
+        *text* is *name* in presentation form without the final dot when
+        the caller already holds that string (the campaign passes the
+        ranked list's), so the observation reuses it."""
         stub = self.world.stub
         response = stub.query(name, rdtypes.HTTPS)
         https_views: List[HttpsRecordView] = []
@@ -100,7 +120,7 @@ class ScanEngine:
             # CNAME chase: find the chain's terminal owner.
             cname_target = self._terminal_cname(response, name)
             if cname_target is not None:
-                via_cname = cname_target.to_text()
+                via_cname = share(cname_target.to_text())
                 https_rrset = response.get_answer(cname_target, rdtypes.HTTPS)
                 if https_rrset is None:
                     # Re-query at the canonical name, like the paper does.
@@ -116,7 +136,7 @@ class ScanEngine:
             rrsig_present = response.get_answer(owner, rdtypes.RRSIG) is not None
 
         observation = DomainObservation(
-            name=name.to_text(omit_final_dot=True),
+            name=share(name.to_text(omit_final_dot=True)) if text is None else text,
             kind=kind,
             rcode=response.rcode,
             https_records=tuple(https_views),
@@ -162,17 +182,17 @@ class ScanEngine:
         ns_response = stub.query(name, rdtypes.NS)
         ns_rrset = ns_response.get_answer(name, rdtypes.NS)
         if ns_rrset is not None:
-            observation.ns_names = tuple(
-                sorted(rd.target.to_text(omit_final_dot=True) for rd in ns_rrset)
-            )
+            observation.ns_names = share(tuple(
+                sorted(share(rd.target.to_text(omit_final_dot=True)) for rd in ns_rrset)
+            ))
 
     @staticmethod
     def _addresses(response: Message, rdtype: int) -> Tuple[str, ...]:
         addresses: List[str] = []
         for rrset in response.answers:
             if rrset.rdtype == rdtype:
-                addresses.extend(rd.address for rd in rrset)
-        return tuple(addresses)
+                addresses.extend(share(rd.address) for rd in rrset)
+        return share(tuple(addresses))
 
     # -- name-server scan ----------------------------------------------------
 
@@ -204,7 +224,7 @@ class ScanEngine:
             name=observation.name,
             date=date,
             a_addrs=a_addrs,
-            hint_addrs=hints,
+            hint_addrs=share(hints),
             a_reachable=a_ok,
             hint_reachable=hint_ok,
         )

@@ -1,14 +1,27 @@
 """Compact observation records produced by the scanning framework.
 
 These are the rows of the measurement dataset — memory-lean (slots,
-shared tuples) because a campaign holds hundreds of thousands of them.
+shared values) because a campaign holds hundreds of thousands of them.
 All records compare by value (field-wise over their slots) so shard
 merges and sequential-vs-parallel equivalence checks can use ``==``.
+
+Each record pickles as its class and its constructor-field tuple, so a
+dataset file holds no slot names. The scanner builds each distinct
+immutable value once per process (:func:`~repro.scanner.engine.share`),
+and pickle's memo then writes a value once however many records hold it.
+Shared are every :class:`HttpsRecordView` and, inside the records, the
+name strings (observed names, CNAME and HTTPS targets, NS hostnames,
+ECH public names) and the address and NS-name tuples. Shared values are
+never mutated: a view is not changed after
+:func:`~repro.scanner.engine.parse_https_rdata` builds it, and strings
+and tuples are immutable. A :class:`DomainObservation` is never shared,
+because the scanner fills its follow-up fields in place.
 """
 
 from __future__ import annotations
 
 import datetime
+import operator
 from typing import Optional, Tuple
 
 
@@ -24,13 +37,22 @@ class _SlotsEqualityMixin:
 
     __slots__ = ()
 
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, slot) for slot in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _fields(record) is its tuple of slot values (a tuple because
+        # every record class has at least two slots).
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __reduce__(self):
+        # The class's constructor takes its slots in order. Files from
+        # older writers hold (None, {slot: value}) state instead, which
+        # pickle's default BUILD still restores.
+        return self.__class__, self._fields(self)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._fields(self) == other._fields(other)
 
 
 class HttpsRecordView(_SlotsEqualityMixin):

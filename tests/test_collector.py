@@ -11,6 +11,7 @@ identity/corruption safety rails.
 import datetime
 import json
 import os
+import warnings
 
 import pytest
 
@@ -286,8 +287,18 @@ class TestResume:
         blob = bytearray(merged.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         merged.write_bytes(bytes(blob))
-        with pytest.warns(RuntimeWarning, match="unreadable merged dataset"):
-            rebuilt = _collector(tmp_path / "ckpt", kwargs=TINY_KWARGS).collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            collector = _collector(tmp_path / "ckpt", kwargs=TINY_KWARGS)
+            rebuilt = collector.collect()
+        # One warning, naming the lost fold and every slice folded into
+        # it; none for the parts the fold consumed and deleted.
+        [warning] = caught
+        assert warning.category is RuntimeWarning
+        message = str(warning.message)
+        assert message.startswith(f"ignoring unreadable merged dataset {merged}: ")
+        slices = list(range(len(collector.slices)))
+        assert message.endswith(f"the slices folded into it re-run: {slices}")
         assert rebuilt == first
         assert load_checkpoint_dataset(str(tmp_path / "ckpt")) == first
 

@@ -2,8 +2,9 @@
 
 The load-bearing guarantee: a damaged dataset file either raises
 :class:`DatasetFileError` or loads as a dataset equal to the one saved —
-never as some other dataset. Plus: saves are atomic, deterministic, and
-files written by the older streaming writer still load.
+never as some other dataset. Plus: saves are atomic and deterministic,
+a loaded file saves back to the same bytes, and files written by older
+writers (streamed, or with slot-state records) still load.
 """
 
 import datetime
@@ -18,6 +19,8 @@ import pytest
 from repro.scanner import Dataset, DatasetFileError, run_campaign
 from repro.scanner import dataset as dataset_module
 from repro.simnet import SimConfig, World
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "dataset_fixtures")
 
 TINY = dict(
     day_step=60,
@@ -70,6 +73,41 @@ class TestRoundTrip:
         with gzip.open(path, "wb") as handle:
             pickle.dump(dataset, handle, protocol=4)
         assert Dataset.load(path) == dataset
+
+    def test_resave_of_a_loaded_file_is_byte_identical(self, saved, tmp_path):
+        again = str(tmp_path / "again.pkl.gz")
+        loaded = Dataset.load(saved)
+        assert loaded.loaded_from_cache
+        loaded.save(again)
+        with open(saved, "rb") as first, open(again, "rb") as second:
+            assert first.read() == second.read()
+        assert not pickle.loads(pickle.dumps(loaded)).loaded_from_cache
+
+
+class TestOlderFormat:
+    def test_slot_state_file_loads_equal_to_a_fresh_run(self):
+        """``slot_state_p60.pkl.gz`` was written by the writer whose
+        records pickled as slot-name -> value dicts (commit 3b6fb04)::
+
+            mkdir old && git archive 3b6fb04 | tar -x -C old
+            cd old && PYTHONPATH=src python -c "
+            from repro.scanner import run_campaign
+            from repro.simnet import SimConfig, World
+            run_campaign(World(SimConfig(population=60)), day_step=45,
+                         ech_sample=3).save('slot_state_p60.pkl.gz')"
+
+        It holds every record class, run statistics and the flag that
+        newer files no longer carry."""
+        loaded = Dataset.load(os.path.join(FIXTURES, "slot_state_p60.pkl.gz"))
+        fresh = run_campaign(World(SimConfig(population=60)), day_step=45, ech_sample=3)
+        assert loaded == fresh
+        assert loaded.run_stats == fresh.run_stats
+        assert loaded.loaded_from_cache
+        snapshots = loaded.snapshots.values()
+        assert loaded.ech_observations and loaded.dnssec_snapshot
+        assert any(s.connectivity for s in snapshots)
+        assert any(s.ns_observations for s in snapshots)
+        assert any(s.watchlist_ns for s in snapshots)
 
 
 class TestDamagedFiles:

@@ -8,6 +8,7 @@ import pytest
 from repro.dnscore import rdtypes
 from repro.scanner import Dataset, ScanEngine, run_campaign
 from repro.scanner.dataset import cache_path
+from repro.scanner.engine import share
 from repro.simnet import SimConfig, World, timeline
 
 MID = datetime.date(2023, 9, 15)
@@ -42,6 +43,26 @@ class TestScanName:
         assert obs.a_addrs, "follow-up A query must run for adopters"
         assert obs.ns_names, "follow-up NS query must run for adopters"
         assert obs.soa_serial is not None
+
+    def test_repeat_scan_shares_values_not_observations(self, scan_world, engine):
+        profile = next(
+            p for p in scan_world.listed_profiles()
+            if p.adopter and p.adoption_start_day < 0 and p.deactivation_day is None
+            and p.intermittency == "none" and not p.www_only
+        )
+        first = engine.scan_name(profile.apex, "apex")
+        again = engine.scan_name(profile.apex, "apex")
+        assert first == again and first is not again
+        assert first.https_records and all(
+            a is b for a, b in zip(first.https_records, again.https_records)
+        )
+        for field in ("name", "a_addrs", "ns_names"):
+            assert getattr(first, field) is getattr(again, field)
+
+    def test_shared_values_keep_their_type(self):
+        # 1 == True and hash(1) == hash(True): a value-only key would
+        # hand back whichever was shared first.
+        assert [type(share(v)) for v in (1, True, 0, False)] == [int, bool, int, bool]
 
     def test_nonadopter_observation(self, scan_world, engine):
         profile = next(p for p in scan_world.listed_profiles() if not p.adopter)
