@@ -9,8 +9,9 @@ matches resolver behaviour (RFC 4343).
 
 A :class:`Name` caches three derived values on first use: the
 lower-cased label tuple (``_key_cache``, the comparison key that the wire
-writer also slices for its compression table), its ``hash`` and the
-presentation text (``_text``). None of them crosses a pickle boundary.
+writer also slices for its compression table; the label tuple itself
+when it is already lower-case), its ``hash`` and the presentation text
+(``_text``). None of them crosses a pickle boundary.
 
 Every public constructor validates the 63/255-octet limits. The one
 unchecked constructor, :meth:`Name._unchecked`, is for code inside
@@ -175,7 +176,12 @@ class Name:
     def _key(self) -> Tuple[bytes, ...]:
         key = self._key_cache
         if key is None:
-            key = tuple(map(bytes.lower, self._labels))
+            labels = self._labels
+            joined = b"".join(labels)
+            if joined.lower() == joined:
+                key = labels  # already lower-case: no second tuple
+            else:
+                key = tuple(map(bytes.lower, labels))
             self._key_cache = key
         return key
 

@@ -12,30 +12,31 @@ Two behaviour knobs model real-provider quirks the paper measures:
 * ``drop_rrsigs`` — providers that serve records but no signatures.
 
 **Answer fast path (tier 1 of 3).** A world-shared :class:`AnswerCache`
-memoises the assembled response sections per (zone identity, server
-quirks, qname, qtype, DO bit): a repeated question is a dict hit
-instead of a tree-walk + RRset/RRSIG assembly pass. The cache sits
-*behind* query logging and the network fault hook, so ``query_log`` and
+memoises the assembled response sections per (zone, server quirks,
+qname, qtype, DO bit): a repeated question is a dict hit instead of a
+tree-walk + RRset/RRSIG assembly pass. The cache sits *behind* query
+logging and the network fault hook, so ``query_log`` and
 ``dns_query_count`` are identical with the cache on or off, and faulted
 deliveries never touch it. Both provider quirks join the key, so two
 servers with different quirks can share one cache (mixed-provider
 domains serve the *same* :class:`~repro.zones.zone.Zone` object from
 both of their providers).
 
-**Staleness is keyed out, not flushed out.** Zone identity in the key is
-``(zone.uid, zone.cache_stamp())``: ``uid`` is unique per live zone
-instance (a rebuilt zone can never alias its predecessor's entries) and
-``cache_stamp()`` is the zone's own freshness stamp (the monotonic
-mutation ``version``). Two per-entry guards cover what the key cannot:
+**Answers live and die with their zone.** The store maps each live
+:class:`~repro.zones.zone.Zone` object, weakly, to one slot stamped with
+its ``cache_stamp()`` (the monotonic mutation ``version``). A zone the
+world drops takes its slot with it, and a version bump replaces the
+slot on the next store, so no entry outlives the zone body it was
+rendered from. Two per-entry guards cover what the slot stamp cannot:
 SOA-bearing entries (NXDOMAIN/NODATA/apex-SOA) pin the serial they were
 rendered under — the zone-body reuse path rolls serials *without*
 bumping ``version`` — and entries from zones that synthesize answers
 out of live world state (:class:`~repro.simnet.world.DynamicTldZone`)
 carry a :meth:`~repro.zones.zone.Zone.answer_guard` token revalidated
-on the first hit of each new day. Entries therefore survive day and
-ECH-generation changes — the cross-day hits are most of the win — and
-:class:`~repro.simnet.world.World` only calls
-:meth:`AnswerCache.invalidate` on the events neither keys nor guards
+on the first hit of each new day. Entries of a zone that lives on
+survive day and ECH-generation changes — the cross-day hits are most of
+the win — and :class:`~repro.simnet.world.World` only calls
+:meth:`AnswerCache.invalidate` on the events neither slots nor guards
 can see: fault install/clear (fault hooks change answers behind the
 zones' backs) and ``World.reset()``. codelint's ``INV01`` rule enforces
 that every ``_zone_cache`` flush either invalidates alongside or
@@ -51,8 +52,8 @@ skips the entire encode **and** decode pass — see
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-from typing import Iterable, List, Optional, Set, Tuple
+import weakref
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message
@@ -61,12 +62,6 @@ from ..dnscore.rdata import SOARdata
 from ..dnscore.rrset import RRset
 from ..zones.tree import ZoneTree
 from ..zones.zone import Zone
-
-# Entries survive day and ECH-generation changes (staleness is handled
-# by the key, not by flushing), so the LRU bound is what keeps a long
-# longitudinal run from accumulating every question it ever answered.
-ANSWER_CACHE_CAPACITY = 200_000
-
 
 class CachedAnswer:
     """One rendered answer: the response sections :meth:`AuthoritativeServer.
@@ -89,7 +84,7 @@ class CachedAnswer:
         # stay valid across serial rolls.
         self.soa_serial: Optional[int] = None
         # Zone-specific freshness token (Zone.answer_guard) revalidated
-        # per hit; None for answers valid while (uid, stamp) match.
+        # per hit; None for answers valid while the zone's slot is.
         self.guard = None
         # (header signature, encoded bytes) and the decoded client-side
         # Message for that signature — filled by wire_roundtrip.
@@ -104,23 +99,22 @@ class AnswerCache:
     by the campaign driver (``run_scheduled``'s ``answer_cache`` knob)
     changes nothing. ``invalidate()`` drops the rendered entries —
     called by the world on fault install/clear, the one event the
-    (uid, stamp, serial) keys cannot see coming.
+    zone slots and per-entry guards cannot see coming.
     """
 
-    def __init__(self, capacity: int = ANSWER_CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self.enabled = False
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.wire_hits = 0
         self.query_hits = 0
         self.serial_refreshes = 0
-        self._entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
+        # zone → (cache_stamp, {(quirks, qname, qtype, DO): entry})
+        self._zones = weakref.WeakKeyDictionary()
         # Decoded query templates (client→server leg). A query parse is a
         # pure function of its bytes — no zone or clock dependence — so
-        # these never invalidate, only evict.
-        self._queries: "OrderedDict[tuple, Message]" = OrderedDict()
+        # these never go stale: one per distinct question asked.
+        self._queries: Dict[tuple, Message] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -132,55 +126,56 @@ class AnswerCache:
         # Toggling either way starts from a clean slate: a disabled run
         # must do zero cache work, and a re-enabled run must not serve
         # entries from before the gap.
-        self._entries.clear()
+        self._zones.clear()
         self._queries.clear()
 
     def invalidate(self) -> None:
         """Drop every rendered entry (answers changed behind the keys)."""
-        self._entries.clear()
+        self._zones.clear()
 
     def reset(self) -> None:
         """Back to the just-built state: disabled, empty, counters zeroed."""
         self.enabled = False
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.wire_hits = 0
         self.query_hits = 0
         self.serial_refreshes = 0
-        self._entries.clear()
+        self._zones.clear()
         self._queries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Rendered entries held, over every zone still alive."""
+        return sum(len(slot[1]) for slot in self._zones.values())
 
     # -- tier 1: rendered answers ------------------------------------------
 
-    def lookup(self, key: tuple, zone: Optional[Zone] = None) -> Optional[CachedAnswer]:
-        """Return the live entry for *key*, or None (counted as a miss).
+    def lookup(self, key: tuple, zone: Zone) -> Optional[CachedAnswer]:
+        """Return the live entry for *key* in *zone*'s slot, or None
+        (counted as a miss). A slot serves only at the zone's current
+        ``cache_stamp()``.
 
-        An entry that carries the SOA pins the serial it was rendered
-        under; when *zone* is given, such an entry only hits while the
-        zone's serial still matches (``roll_soa_serial`` advances serials
-        without bumping the version that keys the cache). On an unsigned
-        zone a serial mismatch is repaired in place rather than missed:
-        the fresh synthesis would differ from the entry in exactly the
-        SOA it attaches, so :meth:`_refresh_serial` swaps in the zone's
-        current SOA and patches the wire template's 4 serial bytes."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            guard = entry.guard
-            # key[3]/key[4] are the question name/rdtype (see
+        An entry that carries the SOA only hits while the zone's serial
+        still matches (``roll_soa_serial`` advances serials without
+        bumping the version that stamps the slot). On an unsigned zone a serial
+        mismatch is repaired in place rather than missed: the fresh
+        synthesis would differ from the entry in exactly the SOA it
+        attaches, so :meth:`_refresh_serial` swaps in the zone's current
+        SOA and patches the wire template's 4 serial bytes."""
+        slot = self._zones.get(zone)
+        if slot is not None and slot[0] == zone.cache_stamp():
+            entry = slot[1].get(key)
+            # key[1]/key[2] are the question name/rdtype (see
             # AuthoritativeServer.handle_query's key layout).
-            if guard is None or zone is None or zone.validate_guard(
-                guard, key[3], key[4]
+            if entry is not None and (
+                entry.guard is None or zone.validate_guard(entry.guard, key[1], key[2])
             ):
                 serial = entry.soa_serial
-                if serial is None or zone is None or serial == zone.soa_serial:
+                if serial is None or serial == zone.soa_serial:
                     self.hits += 1
                     return entry
                 # Signed zones re-sign after a roll (version bump → new
-                # key), so a refresh would have to reconcile RRSIGs too;
+                # slot), so a refresh would have to reconcile RRSIGs too;
                 # restricting it to unsigned zones keeps the patch exact.
                 if not zone.signed and self._refresh_serial(entry, zone):
                     self.hits += 1
@@ -284,23 +279,18 @@ class AnswerCache:
                     return clone
         return None
 
-    def store(self, key: tuple, response: Message, zone: Optional[Zone] = None) -> CachedAnswer:
+    def store(self, key: tuple, response: Message, zone: Zone) -> CachedAnswer:
         entry = CachedAnswer(response)
-        if zone is not None:
-            for rrset in entry.authority:
-                if rrset.rdtype == rdtypes.SOA:
-                    entry.soa_serial = zone.soa_serial
-                    break
-            else:
-                for rrset in entry.answers:
-                    if rrset.rdtype == rdtypes.SOA:
-                        entry.soa_serial = zone.soa_serial
-                        break
-            entry.guard = zone.answer_guard(key[3], key[4])
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        if any(rrset.rdtype == rdtypes.SOA for rrset in entry.authority + entry.answers):
+            entry.soa_serial = zone.soa_serial
+        entry.guard = zone.answer_guard(key[1], key[2])
+        stamp = zone.cache_stamp()
+        slot = self._zones.get(zone)
+        if slot is None or slot[0] != stamp:
+            # Entries rendered from an older version go with the old slot.
+            slot = (stamp, {})
+            self._zones[zone] = slot
+        slot[1][key] = entry
         return entry
 
     # -- tier 3: wire bytes ------------------------------------------------
@@ -360,8 +350,6 @@ class AnswerCache:
         if template is None:
             decoded = Message.from_wire(query.to_wire())
             self._queries[key] = decoded
-            while len(self._queries) > self.capacity:
-                self._queries.popitem(last=False)
             return decoded
         self.query_hits += 1
         clone = Message(query.msg_id)
@@ -444,19 +432,10 @@ class AuthoritativeServer:
         cache = self.answer_cache
         if cache is None or not cache.enabled:
             return self._synthesize(query, zone, question)
-        # Zone identity is (uid, stamp): unique instance + its freshness
-        # stamp, so entries survive day/generation changes and can never
-        # alias a rebuilt zone. The quirk key joins because mixed-provider
-        # domains serve the same Zone object from servers with
-        # *different* quirk sets.
-        key = (
-            zone.uid,
-            zone.cache_stamp(),
-            self._quirk_key,
-            question.name,
-            question.rdtype,
-            query.dnssec_ok,
-        )
+        # The zone itself selects the slot (see AnswerCache.lookup); the
+        # quirk key joins because mixed-provider domains serve the same
+        # Zone object from servers with *different* quirk sets.
+        key = (self._quirk_key, question.name, question.rdtype, query.dnssec_ok)
         entry = cache.lookup(key, zone)
         if entry is None:
             response = self._synthesize(query, zone, question)

@@ -122,6 +122,16 @@ class RecursiveResolver:
         self._cache.clear()
         self._delegation_cache.clear()
 
+    def drop_expired(self) -> None:
+        """Free the record and delegation entries that have expired by
+        now. Exact: lookups never serve an expired entry, and the clock
+        never moves back outside :meth:`reset`."""
+        now = self._now()
+        self._cache = {k: e for k, e in self._cache.items() if e.expiry > now}
+        self._delegation_cache = {
+            k: d for k, d in self._delegation_cache.items() if d[0] > now
+        }
+
     def reset(self) -> None:
         """Forget everything accumulated since construction (caches and
         the message-id counter) so a reused resolver behaves bit-for-bit

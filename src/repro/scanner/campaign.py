@@ -40,11 +40,13 @@ class RunStats:
     counters (query timeouts, retries, and hosts found unreachable,
     summed over the world's recursive resolvers) surface what a chaos
     scenario — or organic simulated misbehaviour — cost the clients. The answer fast-path counters
-    report what the layered caches saved: rendered-answer hits/misses/
-    evictions (tier 1), wire-byte patch hits (tier 3), and zone builds
-    vs zone-body reuses (tier 2). The pipeline sums per-worker stats
+    report what the layered caches saved: rendered-answer hits/misses
+    (tier 1), wire-byte patch hits (tier 3), and zone builds vs
+    zone-body reuses (tier 2). The pipeline sums per-worker stats
     into the merged run summary; sequential runs record their single
-    world's counters.
+    world's counters. ``answer_evictions`` is always 0: rendered answers
+    leave with their zone, not by eviction. The field stays so stored
+    datasets and benchmark records keep their shape.
     """
 
     dns_queries: int = 0
@@ -80,7 +82,6 @@ class RunStats:
         cache = world.answer_cache
         stats.answer_hits = cache.hits
         stats.answer_misses = cache.misses
-        stats.answer_evictions = cache.evictions
         stats.wire_byte_hits = cache.wire_hits
         stats.zone_builds = world.zone_builds
         stats.zone_body_reuses = world.zone_body_reuses
@@ -100,7 +101,6 @@ class RunStats:
             text += (
                 f" answer_hits={self.answer_hits}"
                 f" answer_misses={self.answer_misses}"
-                f" answer_evictions={self.answer_evictions}"
                 f" wire_byte_hits={self.wire_byte_hits}"
             )
         if self.zone_body_reuses:

@@ -20,9 +20,10 @@ last built, the built body is reused and only the SOA serial is rolled
 (plus a re-sign on date change) instead of rebuilding from scratch. All
 tiers arm together via :meth:`World.set_answer_cache` and default off,
 so a bare ``World()`` behaves exactly as before.
-Invalidation is paired with the per-day zone cache: every site that
-clears ``_zone_cache`` (day/ECH-generation rollover in ``set_time``,
-``install_faults``/``clear_faults``, ``reset``) also invalidates the
+Rendered answers are held weakly per zone object, so only the zones
+this world keeps (root, TLDs, infra, ``_zone_cache``, ``_zone_bodies``)
+keep answers resident. Every ``_zone_cache`` flush the zones cannot see
+(``install_faults``/``clear_faults``, ``reset``) also invalidates the
 answer cache — codelint rule ``INV01`` enforces the pairing.
 """
 
@@ -527,20 +528,24 @@ class World:
         if target < self.clock.now:
             raise ValueError("world time must move forward")
         self.clock.set(target)
+        if date != self.current_date:
+            # Once a day, not per hourly tick: what has expired by now
+            # can never be served again, since the clock only moves on.
+            for resolver in (self.google_resolver, self.cloudflare_resolver):
+                resolver.drop_expired()
         self.current_date = date
         self.current_hour = hour
         generation = self.ech_manager.generation_for_hour(self.absolute_hour())
         stamp = (date, generation)
         if stamp != self._zone_cache_stamp:
-            # The answer cache deliberately survives this flush: its keys
-            # and per-entry guards already encode everything a stamp
-            # change can alter. A zone rebuilt after the flush gets a
-            # fresh uid (old entries can never alias it), a body-reused
-            # zone keeps uid+version with SOA-bearing entries
-            # serial-guarded, and DynamicTldZone entries revalidate
-            # their delegation facts across day boundaries. Cross-day
-            # survival of the surviving entries is the fast path's main
-            # win (most of a campaign's questions repeat across days).
+            # The answer cache deliberately survives this flush: a zone
+            # rebuilt after it is a new object with its own slot (the old
+            # slot goes with the old zone), a body-reused zone keeps its
+            # slot with SOA-bearing entries serial-guarded, and
+            # DynamicTldZone entries revalidate their delegation facts
+            # across day boundaries. Cross-day survival of the surviving
+            # entries is the fast path's main win (most of a campaign's
+            # questions repeat across days).
             self._zone_cache.clear()  # codelint: disable=INV01
             self._zone_cache_stamp = stamp
         if self._fault_injector is not None:

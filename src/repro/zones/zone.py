@@ -9,7 +9,6 @@ integrates with :mod:`repro.dnssec` for signing.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dnscore import rdtypes
@@ -29,9 +28,6 @@ class ZoneError(ValueError):
 class Zone:
     """A single DNS zone."""
 
-    # Process-wide instance counter.
-    _uid_counter = itertools.count()
-
     def __init__(
         self,
         apex: Name,
@@ -43,13 +39,11 @@ class Zone:
         self.apex = apex
         self.allow_apex_cname = allow_apex_cname
         self.default_ttl = default_ttl
-        # (uid, version) is the zone-identity half of the rendered-answer
-        # cache key: uid is unique per live instance (never reused within
-        # a process — see __setstate__), and version is a monotonic
-        # content stamp bumped by every mutator, so a cache can never
-        # serve a reply assembled from an older body of this zone or
-        # from a different zone that replaced it at the same apex.
-        self.uid = next(Zone._uid_counter)
+        # The rendered-answer cache keeps one slot per live Zone object
+        # (a zone that replaced this one at the same apex has its own),
+        # stamped with this monotonic content version. Every mutator
+        # bumps it, so the cache can never serve a reply assembled from
+        # an older body of this zone.
         self.version = 0
         self._records: Dict[Tuple[Name, int], RRset] = {}
         self._rrsigs: Dict[Tuple[Name, int], List[RRSIGRdata]] = {}
@@ -60,32 +54,20 @@ class Zone:
         self.signed = False
 
     def cache_stamp(self):
-        """Freshness half of the rendered-answer cache key. For a plain
-        zone the monotonic ``version`` suffices: content only changes
-        through mutators, and every mutator bumps it."""
+        """Freshness stamp of this zone's rendered-answer cache slot. For
+        a plain zone the monotonic ``version`` suffices: content only
+        changes through mutators, and every mutator bumps it."""
         return self.version
 
     def answer_guard(self, name: Name, rdtype: int):
         """Extra per-answer freshness token stored with a cached answer
-        (None = valid while (uid, cache_stamp) match). Zones that
+        (None = valid while the zone's slot stamp matches). Zones that
         synthesize answers from live world state at query time override
         this together with ``validate_guard`` (see ``DynamicTldZone``)."""
         return None
 
     def validate_guard(self, guard, name: Name, rdtype: int) -> bool:
         return True
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # A pickled uid is only unique within the process that assigned
-        # it. An unpickled zone coexisting with freshly-built zones
-        # must not alias one of their uids, so unpickling always draws a
-        # new one (answer-cache entries are never pickled, so no live
-        # key references the discarded uid).
-        self.uid = next(Zone._uid_counter)
 
     # -- content management --------------------------------------------------
 
@@ -212,15 +194,16 @@ class Zone:
         unchanged zone to a new day.
 
         Deliberately does NOT bump ``version``: every non-SOA answer this
-        zone can give is unchanged by the roll, so rendered-answer cache
-        entries keyed on (uid, version) stay valid across days — that
-        cross-day survival is the fast path's main win. The answers the
-        roll DOES change (anything carrying the SOA: NXDOMAIN, NODATA,
-        apex SOA queries) are guarded individually: the cache stamps
-        SOA-bearing entries with the serial they were rendered under and
-        re-validates it on every hit (see ``AuthoritativeServer``).
+        zone can give is unchanged by the roll, so the zone's
+        rendered-answer cache slot, stamped with ``version``, stays valid
+        across days — that cross-day survival is the fast path's main
+        win. The answers the roll DOES change (anything carrying the
+        SOA: NXDOMAIN, NODATA, apex SOA queries) are guarded
+        individually: the cache stamps SOA-bearing entries with the
+        serial they were rendered under and re-validates it on every hit
+        (see ``AuthoritativeServer``).
         Signed zones re-sign after the roll, and ``sign`` bumps
-        ``version``, so their entries all turn over anyway.
+        ``version``, so their slot is replaced on the next answer.
         """
         soa = self.soa
         if soa is None:

@@ -8,16 +8,20 @@ serial, wire-mode, sharded, continuous kill+resume, and chaos
 execution; per-server ``query_log`` / ``dns_query_count`` identity (the
 cache sits behind logging and the fault hook); lifecycle hygiene
 (``World.reset()`` and campaign cleanup leave no armed or stale state
-behind); the LRU eviction bound; and cache identity (the execution knob
-must never reach ``StudySpec.cache_tag()``).
+behind); zone-owned entries (rendered answers are held only for zones the
+world still keeps, at their current version); and cache identity (the
+execution knob must never reach ``StudySpec.cache_tag()``).
 """
 
 import datetime
 import os
+import weakref
 
 import pytest
 
 from repro.dnscore import rdtypes
+from repro.dnscore.names import Name
+from repro.gcutils import paused_gc
 from repro.resolver.authoritative import AnswerCache
 from repro.scanner import (
     CollectionInterrupted,
@@ -27,8 +31,10 @@ from repro.scanner import (
 )
 from repro.simnet import SimConfig, World, timeline
 from repro.simnet import domains
+from repro.scanner.campaign import RunStats
 from repro.simnet.faults import FaultSchedule
 from repro.study import ExecutionPlan, Study, StudySpec
+from repro.zones.zone import Zone
 
 CONFIG = SimConfig(population=120)
 WIRE_CONFIG = SimConfig(population=120, wire_mode=True)
@@ -338,6 +344,97 @@ class TestLifecycle:
         assert len(world.answer_cache) == 0
 
 
+class TestZoneOwnedEntries:
+    """Rendered answers live and die with their zone."""
+
+    @staticmethod
+    def live_zone_ids(world):
+        zones = [world.root_zone, *world.tld_zones.values(), *world._infra_zones.values()]
+        zones.extend(world._zone_cache.values())
+        zones.extend(zone for _fingerprint, zone in world._zone_bodies.values())
+        return {id(zone) for zone in zones}
+
+    def test_entries_belong_to_live_zones_at_their_version(self, monkeypatch):
+        """At the end of a campaign (where RunStats reads the world, the
+        cache is at its fullest), every zone holding entries is one the
+        world still keeps, and every slot is stamped with its zone's
+        current version."""
+        seen = {}
+        of_world = RunStats.of_world.__func__
+
+        def capture(cls, world):
+            cache = world.answer_cache
+            seen["live"] = self.live_zone_ids(world)
+            seen["slots"] = [
+                (id(zone), slot[0], zone.cache_stamp()) for zone, slot in cache._zones.items()
+            ]
+            seen["entries"] = len(cache)
+            return of_world(cls, world)
+
+        monkeypatch.setattr(RunStats, "of_world", classmethod(capture))
+        run_campaign(World(CONFIG), answer_cache=True, **ECH_KWARGS)
+        assert seen["entries"] > 0
+        assert {zone_id for zone_id, _, _ in seen["slots"]} <= seen["live"]
+        assert all(stamp == current for _, stamp, current in seen["slots"])
+
+    def test_dropped_zone_releases_its_entries(self):
+        """A rebuild replaces the stored body: the old zone is freed (by
+        reference counting alone, as in a campaign's paused-GC window)
+        and its entries go with it."""
+        boundary = timeline.H3_29_RETIREMENT
+        day = boundary - datetime.timedelta(days=1)
+        with paused_gc():
+            world = World(CONFIG)
+            world.set_answer_cache(True)
+            world.set_time(day)
+            profile = next(
+                p for p in world.profiles
+                if p.is_cloudflare and not p.custom_config and not p.www_only
+                and domains.https_configured(p, CONFIG, day)
+                and domains.https_configured(p, CONFIG, boundary)
+            )
+            world.stub.query_https(profile.name)
+            zone = world.zone_of(profile)
+            held = len(world.answer_cache._zones[zone][1])
+            assert held > 0
+            before = len(world.answer_cache)
+            dropped = weakref.ref(zone)
+            del zone
+            world.set_time(boundary)
+            rebuilt = world.zone_of(profile)  # the ALPN change forces a rebuild
+            assert dropped() is None
+            assert rebuilt not in world.answer_cache._zones
+            assert len(world.answer_cache) == before - held
+
+    def test_resigned_zone_keeps_no_entries_of_its_old_version(self):
+        """A body reused on the next day is re-signed (a version bump);
+        its first answer replaces the whole slot."""
+        day = datetime.date(2023, 7, 14)
+        next_day = day + datetime.timedelta(days=1)
+        world = World(CONFIG)
+        world.set_answer_cache(True)
+        world.set_time(day)
+        profile = next(
+            p for p in world.listed_profiles(day)
+            if p.adopter and world.zone_of(p).signed
+            and domains.zone_body_fingerprint(p, CONFIG, day, None)
+            == domains.zone_body_fingerprint(p, CONFIG, next_day, None)
+        )
+        world.stub.query_https(profile.name)
+        zone = world.zone_of(profile)
+        old_stamp, old_entries = world.answer_cache._zones[zone]
+        assert old_entries
+        old_ids = {id(entry) for entry in old_entries.values()}
+
+        world.set_time(next_day)
+        world.stub.query_https(profile.name)
+        assert world.zone_of(profile) is zone  # reused, rolled and re-signed
+        stamp, entries = world.answer_cache._zones[zone]
+        assert stamp == zone.cache_stamp() != old_stamp
+        assert entries is not old_entries
+        assert not old_ids & {id(entry) for entry in entries.values()}
+
+
 class TestAnswerCacheUnit:
     class FakeResponse:
         rcode = 0
@@ -346,31 +443,40 @@ class TestAnswerCacheUnit:
         authority = ()
         additional = ()
 
-    def test_eviction_bound_holds(self):
-        cache = AnswerCache(capacity=8)
+    ZONE_APEX = Name.from_text("example.")
+
+    @staticmethod
+    def key(index):
+        return ("quirks", Name.from_text(f"n{index}.example."), rdtypes.A, False)
+
+    def test_version_bump_replaces_the_slot(self):
+        cache = AnswerCache()
         cache.set_enabled(True)
-        for index in range(20):
-            cache.store(("key", index), self.FakeResponse())
-        assert len(cache) == 8
-        assert cache.evictions == 12
-        # oldest entries are the evicted ones
-        assert cache.lookup(("key", 0)) is None
-        assert cache.lookup(("key", 19)) is not None
+        zone = Zone(self.ZONE_APEX)
+        for index in range(3):
+            cache.store(self.key(index), self.FakeResponse(), zone)
+        assert len(cache) == 3
+        zone.ensure_soa()  # a mutator: the version moves on
+        assert cache.lookup(self.key(0), zone) is None
+        cache.store(self.key(3), self.FakeResponse(), zone)
+        assert len(cache) == 1
+        assert cache.lookup(self.key(3), zone) is not None
 
     def test_toggle_clears_entries(self):
-        cache = AnswerCache(capacity=8)
+        cache = AnswerCache()
         cache.set_enabled(True)
-        cache.store(("key", 1), self.FakeResponse())
+        cache.store(self.key(1), self.FakeResponse(), Zone(self.ZONE_APEX))
         cache.set_enabled(False)
         assert len(cache) == 0
         cache.set_enabled(True)
         assert len(cache) == 0
 
     def test_invalidate_keeps_counters(self):
-        cache = AnswerCache(capacity=8)
+        cache = AnswerCache()
         cache.set_enabled(True)
-        cache.store(("key", 1), self.FakeResponse())
-        cache.lookup(("key", 1))
+        zone = Zone(self.ZONE_APEX)
+        cache.store(self.key(1), self.FakeResponse(), zone)
+        cache.lookup(self.key(1), zone)
         cache.invalidate()
         assert len(cache) == 0
         assert cache.hits == 1

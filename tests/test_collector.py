@@ -177,6 +177,89 @@ class TestEquivalence:
         assert collected.run_stats.dns_queries > first_days.run_stats.dns_queries
 
 
+def _cf_ns_hosts_without_ips(dataset):
+    return {
+        date: sorted(
+            host for host, obs in snapshot.ns_observations.items()
+            if host.endswith("cf-ns.com") and not obs.ips
+        )
+        for date, snapshot in sorted(dataset.snapshots.items())
+        if snapshot.ns_observations
+    }
+
+
+# cf-ns.com is both a measured domain and the NS suffix of a Cloudflare
+# name-server farm in seed 2's 250-domain world. The NS-IP scan a
+# continuous collection runs as a per-slice stage finds ns1-ns4.cf-ns.com
+# without addresses on some NS days, where the one-shot scan (with the
+# answer cache on or off) resolves them to 162.159.1.1 on all three.
+# The one-shot answer is the right one. The benchmark pins the
+# continuous result of the second spec, so the fix moves that digest.
+NS_SUFFIX_SPECS = {
+    "object-one-slice": (
+        StudySpec(SimConfig(population=250, seed="2"), day_step=70, with_ech_hourly=False),
+        100,
+    ),
+    "wire-loss-two-day-slices": (
+        StudySpec(
+            SimConfig(population=250, seed="2", wire_mode=True),
+            day_step=70,
+            ech_sample=10,
+            scenario=FaultSchedule(
+                name="cloudflare-loss",
+                specs=(
+                    FaultSpec(
+                        kind="packet_loss",
+                        ip=PROVIDERS["cloudflare"].server_ip,
+                        rate=0.2,
+                        start=datetime.date(2023, 9, 1),
+                        end=datetime.date(2024, 1, 31),
+                    ),
+                ),
+            ),
+        ),
+        2,
+    ),
+}
+
+
+class TestNsSuffixStageDivergence:
+    """The staged NS-IP scan of a continuous collection disagrees with the
+    inline one-shot scan about the cf-ns.com name servers."""
+
+    @pytest.fixture(scope="class", params=sorted(NS_SUFFIX_SPECS))
+    def shape(self, request, tmp_path_factory):
+        spec, days_per_increment = NS_SUFFIX_SPECS[request.param]
+        root = tmp_path_factory.mktemp(request.param)
+        one_shot = Study(spec, ExecutionPlan(cache_dir=str(root / "one"))).run()
+        return spec, days_per_increment, root, one_shot
+
+    def test_one_shot_resolves_every_cf_ns_host(self, shape):
+        one_shot = shape[3]
+        missing = _cf_ns_hosts_without_ips(one_shot)
+        assert len(missing) == 3  # the three NS-IP scan days
+        assert missing == {date: [] for date in missing}
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="continuous NS-IP stage leaves ns1-ns4.cf-ns.com without IPs",
+    )
+    def test_continuous_equals_one_shot(self, shape):
+        spec, days_per_increment, root, one_shot = shape
+        continuous = Study(
+            spec,
+            ExecutionPlan(
+                cache_dir=str(root / "cont"),
+                continuous=True,
+                checkpoint_dir=str(root / "ckpt"),
+                days_per_increment=days_per_increment,
+            ),
+        ).run()
+        assert _cf_ns_hosts_without_ips(continuous) == _cf_ns_hosts_without_ips(one_shot)
+        assert continuous == one_shot
+
+
 class TestAxisComposition:
     """merge_shard_datasets (same days) and fold_slice (disjoint days)
     commute: folding shards first or days first lands on the same value."""

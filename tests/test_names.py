@@ -88,6 +88,16 @@ class TestPickling:
         assert clone == name and hash(clone) == hash(name)
         assert clone.to_text() == name.to_text()  # case preserved
 
+    def test_lower_case_key_is_the_label_tuple(self):
+        import pickle
+
+        lower = Name.from_text("www.example.com.")
+        assert lower._key() is lower.labels
+        mixed = Name.from_text("WWW.Example.com.")
+        assert mixed._key() == lower._key() and mixed._key() is not mixed.labels
+        clone = pickle.loads(pickle.dumps(lower))
+        assert clone._key_cache is None and clone == lower
+
     def test_unpickled_name_hits_fresh_dicts(self):
         import pickle
 

@@ -162,6 +162,33 @@ class TestRecursive:
         resolver.resolve("example.com.", rdtypes.HTTPS)
         assert network.dns_query_count > count
 
+    def test_drop_expired_frees_only_expired_entries(self):
+        network, clock, resolver, _tree = build_internet()
+        resolver.resolve("example.com.", rdtypes.HTTPS)
+        resolver.drop_expired()
+        assert resolver._cache and resolver._delegation_cache
+        count = network.dns_query_count
+        resolver.resolve("example.com.", rdtypes.HTTPS)
+        assert network.dns_query_count == count  # live entries kept
+        clock.advance(301)
+        resolver.drop_expired()
+        assert not resolver._cache and not resolver._delegation_cache
+
+    def test_world_drops_expired_entries_on_date_change_only(self):
+        import datetime
+
+        world = World(SimConfig(population=60))
+        day = datetime.date(2023, 7, 14)
+        world.set_time(day)
+        world.stub.query_https(world.tranco_list()[0])
+        resolver = world.google_resolver
+        cached = dict(resolver._cache)
+        assert cached
+        world.set_time(day, hour=5.0)  # a later hour of the same day
+        assert resolver._cache == cached  # expired, but not dropped yet
+        world.set_time(day + datetime.timedelta(days=1))
+        assert not resolver._cache and not resolver._delegation_cache
+
     def test_nxdomain_propagates(self):
         _network, _clock, resolver, _tree = build_internet()
         response = resolver.resolve("missing.example.com.", rdtypes.A)
