@@ -89,6 +89,7 @@ def test_ablation_validator_memoization(benchmark, report):
 
 
 def test_ablation_wire_mode(benchmark, report):
+    import gc
     import time
 
     fast_world = _fresh_world(wire_mode=False)
@@ -98,10 +99,18 @@ def test_ablation_wire_mode(benchmark, report):
     # the second one looks cheaper by that much, codec or not.
     _scan_batch(_fresh_world(wire_mode=False))
 
+    # Time each batch with the cyclic collector paused: a full collection
+    # over the suite's heap costs more than a whole batch, and where it
+    # lands depends on allocations made before this test, not on the codec.
     def timed(world: World) -> float:
-        start = time.perf_counter()
-        _scan_batch(world)
-        return time.perf_counter() - start
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            _scan_batch(world)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
 
     fast = timed(fast_world)
     wire = timed(wire_world)

@@ -14,11 +14,36 @@ can be driven without writing Python (mirroring zdns/dig workflows).
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .dnscore import Name, rdtypes
 from .simnet import SimConfig, World, timeline
+
+
+def _entry_point(run: Callable[[Optional[List[str]]], int]):
+    """Make *run* end quietly with status 0 when its reader closes the
+    pipe early (``repro-tables | head``). Applied to every console
+    script and to :func:`main`."""
+
+    @functools.wraps(run)
+    def wrapper(argv: Optional[List[str]] = None) -> int:
+        try:
+            try:
+                return run(argv)
+            finally:
+                # Flush here, also on SystemExit (--help), so a closed
+                # pipe surfaces now and not at interpreter shutdown.
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # Nothing more can reach the reader; point stdout at devnull
+            # so the interpreter's own final flush cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+
+    return wrapper
 
 
 def _parse_date(text: str):
@@ -31,6 +56,7 @@ def _parse_date(text: str):
 # repro-dig
 # ---------------------------------------------------------------------------
 
+@_entry_point
 def dig_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-dig",
@@ -76,6 +102,7 @@ def dig_main(argv: Optional[List[str]] = None) -> int:
 # repro-scan
 # ---------------------------------------------------------------------------
 
+@_entry_point
 def scan_main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Lint subcommands ride on repro-scan (`repro-scan lint-code src/`,
@@ -312,6 +339,7 @@ def lint_zone_main(argv: Optional[List[str]] = None) -> int:
 # repro-tables
 # ---------------------------------------------------------------------------
 
+@_entry_point
 def tables_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-tables",
@@ -331,25 +359,23 @@ def tables_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+@_entry_point
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - dispatcher
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
         print("usage: repro {dig,scan,tables} ...", file=sys.stderr)
         return 2
     command, rest = argv[0], argv[1:]
-    try:
-        if command == "dig":
-            return dig_main(rest)
-        if command == "scan":
-            return scan_main(rest)
-        if command == "tables":
-            return tables_main(rest)
-        if command == "lint-code":
-            return lint_code_main(rest)
-        if command == "lint-zone":
-            return lint_zone_main(rest)
-    except BrokenPipeError:  # output piped into head etc.
-        return 0
+    if command == "dig":
+        return dig_main(rest)
+    if command == "scan":
+        return scan_main(rest)
+    if command == "tables":
+        return tables_main(rest)
+    if command == "lint-code":
+        return lint_code_main(rest)
+    if command == "lint-zone":
+        return lint_zone_main(rest)
     print(f"unknown command {command!r}", file=sys.stderr)
     return 2
 

@@ -22,9 +22,9 @@ burned by (see README.md in this directory for the incident history):
 * ``INV01`` — paired invalidation: any scope that clears a
   ``_zone_cache`` must also invalidate the layered answer cache — or
   carry a justified ``# codelint: disable=INV01`` proving the cache's
-  (uid, stamp) keys and per-entry guards already cover everything the
-  flush changes (the ``World.set_time`` day flush is the one such
-  suppression).
+  zone-owned slots stamped with ``cache_stamp()`` and per-entry guards
+  already cover everything the flush changes (the ``World.set_time``
+  day flush is the one such suppression).
 """
 
 from __future__ import annotations
@@ -630,8 +630,9 @@ class PairedInvalidationRule(Rule):
         "answer_cache .invalidate()/.reset()/.clear()/.set_enabled() "
         "call, or set_answer_cache()) risks the fast path serving "
         "answers the flushed state no longer backs — stale bytes with "
-        "no error. Where the answer cache's (uid, stamp) keys and "
-        "per-entry guards provably cover everything the flush changes, "
+        "no error. Where the answer cache's zone-owned slots stamped "
+        "with cache_stamp() and per-entry guards provably cover "
+        "everything the flush changes, "
         "suppress with a justified '# codelint: disable=INV01' instead."
     )
 

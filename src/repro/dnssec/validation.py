@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..dnscore import rdtypes
 from ..dnscore.names import Name
@@ -44,6 +44,11 @@ class ValidationResult:
     @property
     def secure(self) -> bool:
         return self.state is ValidationState.SECURE
+
+
+# A memoised zone-key verdict: (keys, state, reason); keys is None
+# unless the zone's DNSKEY RRset validated.
+_Verdict = Tuple[Optional[List[DNSKEYRdata]], ValidationState, str]
 
 
 class RecordSource(Protocol):
@@ -102,9 +107,19 @@ class ChainValidator:
     def __init__(self, source: RecordSource, trust_anchor: Name = None):
         self.source = source
         self.trust_anchor = trust_anchor if trust_anchor is not None else Name.root()
-        # Zone-key validation is pure for a given hour, so memoize it —
-        # resolvers validate the same root/TLD chain on every answer.
-        self._zone_key_cache: dict = {}
+        # Zone-key verdicts (keys, state, reason) of one simulated hour,
+        # keyed (apex, parent_apex): resolvers validate the same root/TLD
+        # chain on every answer. A verdict is pure for a given hour only
+        # under a fixed fault schedule and clock history, so the owner
+        # calls flush() when either changes; a new hour replaces the
+        # dict (the clock only moves on between flushes).
+        self._memo_hour: Optional[int] = None
+        self._zone_key_cache: Dict[Tuple[Name, Optional[Name]], _Verdict] = {}
+
+    def flush(self) -> None:
+        """Forget every memoised zone-key verdict."""
+        self._memo_hour = None
+        self._zone_key_cache = {}
 
     def _zone_chain(self, apex: Name) -> Optional[List[Name]]:
         """Apexes from the trust anchor down to *apex* inclusive."""
@@ -123,34 +138,36 @@ class ChainValidator:
 
     def _validated_zone_keys(
         self, apex: Name, parent_apex: Optional[Name], now: int
-    ) -> Tuple[Optional[List[DNSKEYRdata]], ValidationResult]:
+    ) -> _Verdict:
         """Validate the DNSKEY RRset of the zone at *apex*.
 
         For non-anchor zones this requires a matching, validated DS in the
-        parent. Returns (keys, result); keys is None unless secure.
+        parent. Returns (keys, state, reason); keys is None unless secure.
         """
-        cache_key = (apex, parent_apex, now // 3600)
-        cached = self._zone_key_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        result = self._validated_zone_keys_uncached(apex, parent_apex, now)
-        self._zone_key_cache[cache_key] = result
-        return result
+        hour = now // 3600
+        if hour != self._memo_hour:
+            self._memo_hour = hour
+            self._zone_key_cache = {}
+        key = (apex, parent_apex)
+        verdict = self._zone_key_cache.get(key)
+        if verdict is None:
+            verdict = self._validated_zone_keys_uncached(apex, parent_apex, now)
+            self._zone_key_cache[key] = verdict
+        return verdict
 
     def _validated_zone_keys_uncached(
         self, apex: Name, parent_apex: Optional[Name], now: int
-    ) -> Tuple[Optional[List[DNSKEYRdata]], ValidationResult]:
+    ) -> _Verdict:
         dnskey_rrset, dnskey_sigs = self.source.fetch_with_sigs(apex, rdtypes.DNSKEY)
         if dnskey_rrset is None or not len(dnskey_rrset):
-            return None, ValidationResult(
-                ValidationState.INSECURE, f"zone {apex} publishes no DNSKEY"
-            )
+            return None, ValidationState.INSECURE, f"zone {apex} publishes no DNSKEY"
         dnskeys = [r for r in dnskey_rrset if isinstance(r, DNSKEYRdata)]
 
         if parent_apex is not None:
             ds_rrset, _ = self.source.fetch_with_sigs(apex, rdtypes.DS)
             if ds_rrset is None or not len(ds_rrset):
-                return None, ValidationResult(
+                return (
+                    None,
                     ValidationState.INSECURE,
                     f"no DS for {apex} in parent zone {parent_apex}",
                 )
@@ -165,9 +182,7 @@ class ChainValidator:
                 if matched:
                     break
             if not matched:
-                return None, ValidationResult(
-                    ValidationState.BOGUS, f"DS for {apex} matches no KSK"
-                )
+                return None, ValidationState.BOGUS, f"DS for {apex} matches no KSK"
 
         ok, reason = _verify_rrset_with_keys(
             dnskey_rrset, dnskey_sigs, dnskeys, now, require_sep=True
@@ -176,10 +191,12 @@ class ChainValidator:
             # Fall back to ZSK-signed DNSKEY sets (some signers do this).
             ok, reason = _verify_rrset_with_keys(dnskey_rrset, dnskey_sigs, dnskeys, now)
         if not ok:
-            return None, ValidationResult(
-                ValidationState.BOGUS, f"DNSKEY RRset of {apex} not validly signed: {reason}"
+            return (
+                None,
+                ValidationState.BOGUS,
+                f"DNSKEY RRset of {apex} not validly signed: {reason}",
             )
-        return dnskeys, ValidationResult(ValidationState.SECURE, "ok")
+        return dnskeys, ValidationState.SECURE, "ok"
 
     def validate(self, name: Name, rdtype: int, now: int) -> ValidationResult:
         """Validate the RRset at (name, rdtype) through the full chain."""
@@ -195,11 +212,10 @@ class ChainValidator:
         keys_by_apex = {}
         for i, zone_apex in enumerate(chain):
             parent = chain[i - 1] if i > 0 else None
-            keys, result = self._validated_zone_keys(zone_apex, parent, now)
+            keys, state, reason = self._validated_zone_keys(zone_apex, parent, now)
             visited.append(zone_apex.to_text())
             if keys is None:
-                result.chain = visited
-                return result
+                return ValidationResult(state, reason, visited)
             keys_by_apex[zone_apex] = keys
 
         rrset, rrsigs = self.source.fetch_with_sigs(name, rdtype)

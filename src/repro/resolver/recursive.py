@@ -137,8 +137,11 @@ class RecursiveResolver:
         the message-id counter) so a reused resolver behaves bit-for-bit
         like a freshly built one. Used by world reuse
         (:meth:`~repro.simnet.world.World.reset`), where the clock also
-        rewinds — cached entries would otherwise carry future expiries."""
+        rewinds — cached entries would otherwise carry future expiries,
+        and the validator's verdicts a history the world no longer has."""
         self.flush_cache()
+        if self.validator is not None:
+            self.validator.flush()
         self._msg_id = 0
         self.timeouts = 0
         self.retries = 0

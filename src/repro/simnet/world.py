@@ -339,8 +339,9 @@ class World:
 
         Rewinds the clock to the study start and flushes every cache
         whose entries are stamped with (or derived from) the current
-        time: the per-day zone cache and both resolvers' record and
-        delegation caches. Deterministic time-keyed memos — the TLD DS
+        time: the per-day zone cache, both resolvers' record and
+        delegation caches, and their validators' zone-key verdict
+        memos. Deterministic time-keyed memos — the TLD DS
         cache (keyed per day) and the ECH key-generation table — are
         kept: their entries are pure functions of (config, date/hour).
         A reset world answers every query bit-for-bit like a freshly
@@ -564,22 +565,29 @@ class World:
 
         Replaces any previously installed schedule; ``None`` (or an
         empty schedule) just clears. The per-day zone cache is flushed
-        both ways so zone-level faults appear/disappear immediately."""
+        both ways (and the resolvers' DNSSEC verdict memos with it) so
+        zone-level faults appear/disappear immediately."""
         self.clear_faults()
         if schedule is None or not schedule.specs:
             return
         self._fault_injector = faults.FaultInjector(self, schedule)
         self._fault_injector.arm()
-        self._zone_cache.clear()
-        self.answer_cache.invalidate()
+        self._forget_fault_state()
 
     def clear_faults(self) -> None:
         if self._fault_injector is None:
             return
         self._fault_injector.disarm()
         self._fault_injector = None
+        self._forget_fault_state()
+
+    def _forget_fault_state(self) -> None:
+        """Drop what was derived under the previous fault schedule: built
+        zones, rendered answers and DNSSEC zone-key verdicts."""
         self._zone_cache.clear()
         self.answer_cache.invalidate()
+        for resolver in (self.google_resolver, self.cloudflare_resolver):
+            resolver.validator.flush()
 
     def absolute_hour(self) -> int:
         return timeline.day_index(self.current_date) * 24 + int(self.current_hour)

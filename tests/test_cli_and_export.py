@@ -3,9 +3,12 @@
 import datetime
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import dig_main, scan_main, tables_main
 from repro.reporting.export import (
     export_figure_data,
@@ -96,3 +99,37 @@ class TestCli:
         with pytest.raises(SystemExit):
             scan_main(["--release", "v1/beta"])
         assert "invalid release tag" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """``repro-tables | head`` and friends: a reader that closes the pipe
+    before the output is written ends the run quietly with status 0."""
+
+    @pytest.mark.parametrize(
+        "entry, args",
+        [
+            ("tables_main", []),
+            ("scan_main", ["--help"]),
+            ("dig_main", ["--help"]),
+            ("main", ["tables"]),
+        ],
+    )
+    def test_closed_pipe_exits_zero_without_stderr(self, entry, args):
+        # The same call a console script makes: entry() reading sys.argv.
+        code = f"import sys; from repro.cli import {entry}; sys.exit({entry}())"
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Close the read end before the interpreter has even started, so
+        # every write the entry point makes hits a closed pipe.
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""

@@ -175,6 +175,22 @@ class TestChainValidation:
         assert r1.state is ValidationState.SECURE
         assert r2.state is ValidationState.SECURE
 
+    def test_results_are_never_shared(self):
+        """Verdicts are memoised, results are not: a caller editing its
+        result cannot rewrite another caller's."""
+        tree = build_tree(upload_ds=False)
+        validator = ChainValidator(tree)
+        name = Name.from_text("example.com.")
+        r1 = validator.validate(name, rdtypes.HTTPS, NOW)
+        r2 = validator.validate(name, rdtypes.HTTPS, NOW)
+        assert r1 is not r2
+        assert r1.state is r2.state is ValidationState.INSECURE
+        r1.chain.append("edited.")
+        r1.reason = "edited"
+        r3 = validator.validate(name, rdtypes.A, NOW)
+        assert r3.chain == r2.chain == [".", "com.", "example.com."]
+        assert "no DS" in r3.reason
+
     def test_chain_lists_zones(self):
         tree = build_tree()
         validator = ChainValidator(tree)

@@ -492,3 +492,130 @@ class TestAttribution:
         assert split.affected_domains == (
             split.injected_domains + split.organic_domains
         )
+
+
+# ---------------------------------------------------------------------------
+# lifetime of the resolvers' DNSSEC zone-key verdict memo
+# ---------------------------------------------------------------------------
+
+
+def secure_adopter(world):
+    try:
+        return active_profile(
+            world,
+            lambda p: p.dnssec_signed and p.ds_uploaded and p.dnssec_sign_day < 0,
+        )
+    except StopIteration:
+        pytest.skip("no secure-chain adopter at this population")
+
+
+def missing_ds(profile):
+    return one_fault(
+        FaultSpec(kind="dnssec_missing_ds", domain=profile.name, start=MID)
+    )
+
+
+def ad_bits(world, profile):
+    """The AD bit each public resolver sets on the profile's HTTPS answer."""
+    return tuple(
+        resolver.resolve(profile.apex, rdtypes.HTTPS).authenticated_data
+        for resolver in (world.google_resolver, world.cloudflare_resolver)
+    )
+
+
+def validators(world):
+    return [r.validator for r in (world.google_resolver, world.cloudflare_resolver)]
+
+
+class TestVerdictMemoLifetime:
+    def test_install_faults_at_the_current_hour_clears_ad(self):
+        world = make_world()
+        profile = secure_adopter(world)
+        assert ad_bits(world, profile) == (True, True)
+        # Same simulated hour: only a flushed memo can see the new fault.
+        world.install_faults(missing_ds(profile))
+        flush_resolvers(world)
+        assert ad_bits(world, profile) == (False, False)
+        world.clear_faults()
+        flush_resolvers(world)
+        assert ad_bits(world, profile) == (True, True)
+
+    def test_reset_after_faulted_run_answers_like_a_fresh_world(self):
+        world = make_world()
+        profile = secure_adopter(world)
+        world.install_faults(missing_ds(profile))
+        assert ad_bits(world, profile) == (False, False)
+        world.reset()
+        world.set_time(MID)
+        assert ad_bits(world, profile) == ad_bits(make_world(), profile) == (True, True)
+
+    def test_memo_holds_the_current_hour_only_and_reset_empties_it(self):
+        world = World(CONFIG)
+        seen = []  # (validator, hour, memo key) per zone-key lookup
+        for validator in validators(world):
+            def recording(apex, parent_apex, now, _v=validator,
+                          _inner=validator._validated_zone_keys):
+                seen.append((_v, now // 3600, (apex, parent_apex)))
+                return _inner(apex, parent_apex, now)
+            validator._validated_zone_keys = recording
+        run_campaign(
+            world, day_step=7, start=datetime.date(2023, 7, 21),
+            end=datetime.date(2023, 7, 22), ech_sample=2,
+            with_dnssec_snapshot=False,
+        )
+        assert len({hour for _, hour, _ in seen}) > 24  # an hourly-ECH day
+        for validator in validators(world):
+            # The stub's backup resolver may never be asked.
+            last = max((hour for v, hour, _ in seen if v is validator), default=None)
+            assert validator._memo_hour == last
+            assert set(validator._zone_key_cache) == {
+                key for v, hour, key in seen if v is validator and hour == last
+            }
+        world.reset()
+        for validator in validators(world):
+            assert validator._zone_key_cache == {}
+
+    def test_faulted_study_after_clean_study_equals_fresh_world_run(
+        self, tmp_path, monkeypatch
+    ):
+        """Continuous studies check worlds out of the per-process pool,
+        so a scenario run after a clean one reuses the clean run's world."""
+        from repro.simnet import snapshot as snapshot_mod
+        from repro.study import ExecutionPlan, Study
+
+        config = SimConfig(population=250, seed="1")
+        secure = [
+            p for p in World(config).listed_profiles()
+            if p.adopter and p.dnssec_signed and p.ds_uploaded
+        ]
+        assert secure
+        scenario = FaultSchedule(name="missing-ds", specs=tuple(
+            FaultSpec(kind="dnssec_missing_ds", domain=p.name) for p in secure
+        ))
+
+        def run(tag, schedule):
+            spec = StudySpec(
+                config, day_step=70, with_ech_hourly=False, scenario=schedule
+            )
+            plan = ExecutionPlan(
+                cache_dir=str(tmp_path / tag / "cache"), continuous=True,
+                checkpoint_dir=str(tmp_path / tag / "ckpt"), days_per_increment=2,
+            )
+            return Study(spec, plan).run()
+
+        def ad_flags(dataset):
+            return {
+                obs.ad_flag
+                for snapshot in dataset.snapshots.values()
+                for p in secure
+                for obs in [snapshot.apex.get(p.name)] if obs is not None
+            }
+
+        monkeypatch.setattr(snapshot_mod, "_IDLE", {})
+        fresh = run("fresh", scenario)
+        snapshot_mod._IDLE.clear()
+        clean = run("clean", None)
+        reused = run("reused", scenario)
+        assert ad_flags(clean) == {True}
+        assert ad_flags(fresh) == {False}
+        assert reused == fresh
