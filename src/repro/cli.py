@@ -125,8 +125,9 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
                              "(same dataset, less wall-clock on multi-core)")
     parser.add_argument("--answer-cache", action=argparse.BooleanOptionalAction,
                         default=True,
-                        help="arm the layered answer fast path: rendered-answer "
-                             "+ zone-body + wire-byte caches on the simulated "
+                        help="arm the layered answer fast path: zone-body "
+                             "reuse, plus rendered-answer and wire-byte caches "
+                             "in wire mode, on the simulated "
                              "authoritative side (--no-answer-cache to "
                              "synthesize every reply from scratch; same "
                              "dataset either way)")

@@ -41,6 +41,8 @@ FLAG_CD = 0x0010
 class Question:
     """A single question section entry."""
 
+    __slots__ = ("name", "rdtype", "rdclass")
+
     def __init__(self, name: Name, rdtype: int, rdclass: int = rdtypes.IN):
         if not isinstance(name, Name):
             name = Name.from_text(str(name))
@@ -61,7 +63,19 @@ class Question:
 
 
 class Message:
-    """A DNS query or response."""
+    """A DNS query or response.
+
+    ``answer_entry`` is set only on responses an authoritative server
+    serves with the answer fast path armed (the tier-3 handle the network
+    reads); read it with ``getattr(message, "answer_entry", None)``.
+    Slotted because wire mode keeps thousands of decoded query and
+    answer templates alive."""
+
+    __slots__ = (
+        "msg_id", "flags", "rcode", "opcode", "questions", "answers",
+        "authority", "additional", "use_edns", "edns_payload_size",
+        "dnssec_ok", "answer_entry",
+    )
 
     def __init__(self, msg_id: int = 0):
         self.msg_id = msg_id & 0xFFFF

@@ -14,13 +14,19 @@ Two behaviour knobs model real-provider quirks the paper measures:
 **Answer fast path (tier 1 of 3).** A world-shared :class:`AnswerCache`
 memoises the assembled response sections per (zone, server quirks,
 qname, qtype, DO bit): a repeated question is a dict hit instead of a
-tree-walk + RRset/RRSIG assembly pass. The cache sits *behind* query
-logging and the network fault hook, so ``query_log`` and
-``dns_query_count`` are identical with the cache on or off, and faulted
-deliveries never touch it. Both provider quirks join the key, so two
-servers with different quirks can share one cache (mixed-provider
-domains serve the *same* :class:`~repro.zones.zone.Zone` object from
-both of their providers).
+tree-walk + RRset/RRSIG assembly pass. The world arms it (and tier 3)
+only in ``wire_mode``, where a hit also skips the codec. In object mode
+a hit saves only the assembly pass, which measured as no faster, while
+the store held 2.4 MB of the 12.2 MB traced heap at the end of
+perfbench's ``daily`` run; object mode arms tier-2 zone-body reuse only
+(see :meth:`~repro.simnet.world.World.set_answer_cache`).
+
+The cache sits *behind* query logging and the network fault hook, so
+``query_log`` and ``dns_query_count`` are identical with the cache on
+or off, and faulted deliveries never touch it. Both provider quirks
+join the key, so two servers with different quirks can share one cache
+(mixed-provider domains serve the *same* :class:`~repro.zones.zone.Zone`
+object from both of their providers).
 
 **Answers live and die with their zone.** The store maps each live
 :class:`~repro.zones.zone.Zone` object, weakly, to one slot stamped with
@@ -96,10 +102,11 @@ class AnswerCache:
     """World-shared rendered-answer + wire-byte cache (tiers 1 and 3).
 
     Starts ``enabled=False``: a cache that is not explicitly switched on
-    by the campaign driver (``run_scheduled``'s ``answer_cache`` knob)
-    changes nothing. ``invalidate()`` drops the rendered entries —
-    called by the world on fault install/clear, the one event the
-    zone slots and per-entry guards cannot see coming.
+    by the campaign driver (``run_scheduled``'s ``answer_cache`` knob,
+    which switches it on in wire mode only) changes nothing.
+    ``invalidate()`` drops the rendered entries — called by the world on
+    fault install/clear, the one event the zone slots and per-entry
+    guards cannot see coming.
     """
 
     def __init__(self):

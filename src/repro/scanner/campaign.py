@@ -41,9 +41,9 @@ class RunStats:
     summed over the world's recursive resolvers) surface what a chaos
     scenario — or organic simulated misbehaviour — cost the clients. The answer fast-path counters
     report what the layered caches saved: rendered-answer hits/misses
-    (tier 1), wire-byte patch hits (tier 3), and zone builds vs
-    zone-body reuses (tier 2). The pipeline sums per-worker stats
-    into the merged run summary; sequential runs record their single
+    (tier 1) and wire-byte patch hits (tier 3), both 0 outside wire
+    mode, and zone builds vs zone-body reuses (tier 2). The pipeline
+    sums per-worker stats into the merged run summary; sequential runs record their single
     world's counters. ``answer_evictions`` is always 0: rendered answers
     leave with their zone, not by eviction. The field stays so stored
     datasets and benchmark records keep their shape.
@@ -255,7 +255,11 @@ def run_scheduled(
     ``answer_cache`` arms the world's layered answer fast path for the
     duration of the run (disarmed on exit, like the scenario) — the
     dataset, per-server query logs, and transport counters are identical
-    either way; only the walltime and the fast-path counters change.
+    either way; only the walltime, memory and the fast-path counters
+    change. Object-mode worlds arm zone-body reuse only, so their
+    ``answer_hits``/``answer_misses`` stay 0: storing rendered answers
+    pays only where it also skips the wire codec (see
+    :meth:`~repro.simnet.world.World.set_answer_cache`).
     """
     config = world.config
     engine = ScanEngine(world)

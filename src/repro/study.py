@@ -216,10 +216,11 @@ class ExecutionPlan:
     an on-disk checkpoint. The finished dataset is value-equal under
     every combination; only the continuous partitioning joins the cache
     key, so checkpoints never alias one-shot cache entries.
-    ``answer_cache`` arms the worlds' layered answer fast path (rendered
-    answers, zone-body reuse, wire bytes — default on); like the other
-    knobs it never changes the dataset, so it stays out of
-    ``StudySpec.cache_tag()``.
+    ``answer_cache`` arms the worlds' layered answer fast path (default
+    on): zone-body reuse in every mode, plus rendered answers and wire
+    bytes in wire mode, the one mode where they skip work worth their
+    memory (the codec). Like the other knobs it never changes the
+    dataset, so it stays out of ``StudySpec.cache_tag()``.
     """
 
     workers: int = 1

@@ -11,6 +11,9 @@ cache sits behind logging and the fault hook); lifecycle hygiene
 behind); zone-owned entries (rendered answers are held only for zones the
 world still keeps, at their current version); and cache identity (the
 execution knob must never reach ``StudySpec.cache_tag()``).
+
+Tiers 1 and 3 arm in wire mode only, so the suites that need rendered
+answers run on ``WIRE_CONFIG``; object mode arms zone-body reuse alone.
 """
 
 import datetime
@@ -43,8 +46,8 @@ SCENARIO_PATH = os.path.join(
 )
 
 # The ECH window: hourly scans repeat the same questions within a day,
-# so every tier (rendered answers, zone-body reuse, wire bytes) gets
-# real traffic even at test scale.
+# so every armed tier (rendered answers, zone-body reuse, wire bytes)
+# gets real traffic even at test scale.
 ECH_KWARGS = dict(
     day_step=7,
     start=datetime.date(2023, 7, 14),
@@ -78,6 +81,15 @@ def run_logged(config, answer_cache, **kwargs):
     return dataset, logs, world
 
 
+@pytest.fixture(scope="module")
+def wire_pair():
+    """Cache-off and cache-on wire-mode runs: the mode that arms tiers 1
+    and 3, because only there is a codec for them to skip."""
+    off = run_logged(WIRE_CONFIG, False, **ECH_KWARGS)
+    on = run_logged(WIRE_CONFIG, True, **ECH_KWARGS)
+    return off, on
+
+
 class TestSerialEquivalence:
     """Cache-on and cache-off runs are indistinguishable in the data."""
 
@@ -101,8 +113,8 @@ class TestSerialEquivalence:
         (_, _, world_off), (_, _, world_on) = pair
         assert query_counts(world_on) == query_counts(world_off)
 
-    def test_counters_report_the_fast_path(self, pair):
-        (ds_off, _, _), (ds_on, _, _) = pair
+    def test_counters_report_the_fast_path(self, wire_pair):
+        (ds_off, _, _), (ds_on, _, _) = wire_pair
         assert ds_on.run_stats.answer_hits > 0
         assert ds_on.run_stats.zone_body_reuses > 0
         assert ds_off.run_stats.answer_hits == 0
@@ -110,6 +122,26 @@ class TestSerialEquivalence:
         assert ds_off.run_stats.zone_body_reuses == 0
         # counters are diagnostics, not data: equality above already
         # held even though these differ
+
+    def test_object_mode_arms_zone_reuse_only(self, pair):
+        """Without a codec there is nothing for tiers 1 and 3 to skip, so
+        an armed object-mode run reuses zone bodies and stores no
+        rendered answer at any point of the run."""
+        (ds_off, logs_off, _), _ = pair
+        world = World(CONFIG)
+        logs = arm_query_logs(world)
+        held = []
+        ds_on = run_campaign(
+            world, answer_cache=True,
+            progress=lambda _line: held.append(len(world.answer_cache)),
+            **ECH_KWARGS,
+        )
+        assert ds_on == ds_off
+        assert logs == logs_off
+        assert ds_on.run_stats.zone_body_reuses > 0
+        assert held and set(held) == {0}
+        assert len(world.answer_cache) == 0
+        assert ds_on.run_stats.answer_hits == ds_on.run_stats.answer_misses == 0
 
     def test_campaign_cleanup_disarms_the_world(self, pair):
         (_, _, _), (_, _, world_on) = pair
@@ -121,28 +153,22 @@ class TestSerialEquivalence:
 class TestWireModeEquivalence:
     """Tier 3: the byte-patch round trip serves the same messages."""
 
-    @pytest.fixture(scope="class")
-    def pair(self):
-        off = run_logged(WIRE_CONFIG, False, **ECH_KWARGS)
-        on = run_logged(WIRE_CONFIG, True, **ECH_KWARGS)
-        return off, on
-
-    def test_datasets_value_equal(self, pair):
-        (ds_off, _, _), (ds_on, _, _) = pair
+    def test_datasets_value_equal(self, wire_pair):
+        (ds_off, _, _), (ds_on, _, _) = wire_pair
         assert ds_on == ds_off
 
-    def test_query_logs_identical(self, pair):
-        (_, logs_off, _), (_, logs_on, _) = pair
+    def test_query_logs_identical(self, wire_pair):
+        (_, logs_off, _), (_, logs_on, _) = wire_pair
         assert logs_on == logs_off
 
-    def test_wire_bytes_actually_reused(self, pair):
-        _, (ds_on, _, _) = pair
+    def test_wire_bytes_actually_reused(self, wire_pair):
+        _, (ds_on, _, _) = wire_pair
         assert ds_on.run_stats.wire_byte_hits > 0
 
-    def test_wire_mode_equals_object_mode(self, pair):
+    def test_wire_mode_equals_object_mode(self, wire_pair):
         """Cross-check against the non-wire cached run: the codec plus
         both byte-level caches still change nothing."""
-        _, (ds_on, _, _) = pair
+        _, (ds_on, _, _) = wire_pair
         plain = run_campaign(World(CONFIG), answer_cache=True, **ECH_KWARGS)
         assert ds_on == plain
 
@@ -156,7 +182,7 @@ class TestExecutionModeEquivalence:
 
     def test_sharded(self, serial_off):
         parallel = ParallelCampaignRunner(
-            CONFIG, workers=3, answer_cache=True, **ECH_KWARGS
+            WIRE_CONFIG, workers=3, answer_cache=True, **ECH_KWARGS
         ).run()
         assert parallel == serial_off
         assert parallel.run_stats.answer_hits > 0
@@ -187,8 +213,8 @@ class TestExecutionModeEquivalence:
         never body-reused."""
         scenario = FaultSchedule.load(SCENARIO_PATH)
         kwargs = dict(day_step=28, ech_sample=20, scenario=scenario)
-        off = run_logged(CONFIG, False, **kwargs)
-        on = run_logged(CONFIG, True, **kwargs)
+        off = run_logged(WIRE_CONFIG, False, **kwargs)
+        on = run_logged(WIRE_CONFIG, True, **kwargs)
         assert on[0] == off[0]
         assert on[1] == off[1]  # per-server query logs
         assert on[0].run_stats.timeouts > 0  # the schedule actually bit
@@ -332,7 +358,7 @@ class TestLifecycle:
         assert len(world.answer_cache) == 0
 
     def test_fault_install_and_clear_invalidate(self):
-        world = World(CONFIG)
+        world = World(WIRE_CONFIG)
         world.set_answer_cache(True)
         world.set_time(datetime.date(2023, 9, 15))
         world.stub.query_https(world.tranco_list()[0])
@@ -345,7 +371,8 @@ class TestLifecycle:
 
 
 class TestZoneOwnedEntries:
-    """Rendered answers live and die with their zone."""
+    """Rendered answers live and die with their zone (wire mode, the
+    one mode that stores them)."""
 
     @staticmethod
     def live_zone_ids(world):
@@ -372,7 +399,7 @@ class TestZoneOwnedEntries:
             return of_world(cls, world)
 
         monkeypatch.setattr(RunStats, "of_world", classmethod(capture))
-        run_campaign(World(CONFIG), answer_cache=True, **ECH_KWARGS)
+        run_campaign(World(WIRE_CONFIG), answer_cache=True, **ECH_KWARGS)
         assert seen["entries"] > 0
         assert {zone_id for zone_id, _, _ in seen["slots"]} <= seen["live"]
         assert all(stamp == current for _, stamp, current in seen["slots"])
@@ -384,14 +411,14 @@ class TestZoneOwnedEntries:
         boundary = timeline.H3_29_RETIREMENT
         day = boundary - datetime.timedelta(days=1)
         with paused_gc():
-            world = World(CONFIG)
+            world = World(WIRE_CONFIG)
             world.set_answer_cache(True)
             world.set_time(day)
             profile = next(
                 p for p in world.profiles
                 if p.is_cloudflare and not p.custom_config and not p.www_only
-                and domains.https_configured(p, CONFIG, day)
-                and domains.https_configured(p, CONFIG, boundary)
+                and domains.https_configured(p, WIRE_CONFIG, day)
+                and domains.https_configured(p, WIRE_CONFIG, boundary)
             )
             world.stub.query_https(profile.name)
             zone = world.zone_of(profile)
@@ -411,14 +438,14 @@ class TestZoneOwnedEntries:
         its first answer replaces the whole slot."""
         day = datetime.date(2023, 7, 14)
         next_day = day + datetime.timedelta(days=1)
-        world = World(CONFIG)
+        world = World(WIRE_CONFIG)
         world.set_answer_cache(True)
         world.set_time(day)
         profile = next(
             p for p in world.listed_profiles(day)
             if p.adopter and world.zone_of(p).signed
-            and domains.zone_body_fingerprint(p, CONFIG, day, None)
-            == domains.zone_body_fingerprint(p, CONFIG, next_day, None)
+            and domains.zone_body_fingerprint(p, WIRE_CONFIG, day, None)
+            == domains.zone_body_fingerprint(p, WIRE_CONFIG, next_day, None)
         )
         world.stub.query_https(profile.name)
         zone = world.zone_of(profile)
