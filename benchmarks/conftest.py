@@ -9,13 +9,9 @@ results directory (untracked ``.bench_results/`` by default; set
 
 The dataset comes from a :class:`repro.study.Study`: the identity knobs
 ``REPRO_POPULATION`` (default 6000) and ``REPRO_DAY_STEP`` (default 7)
-form the :class:`~repro.study.StudySpec`, and
-:meth:`repro.study.ExecutionPlan.from_env` absorbs the execution knobs —
-``REPRO_WORKERS`` (shard the campaign across N worker processes),
-``REPRO_CONTINUOUS`` (build through the checkpointing continuous
-collector), and ``REPRO_ANSWER_CACHE`` (the layered answer fast path —
-default on; set 0 to synthesize every upstream reply from scratch). The
-dataset is identical under every knob combination.
+form the :class:`~repro.study.StudySpec`, and the plan is the default
+serial one, ``ExecutionPlan(cache_dir=CACHE_DIR)``. The library itself
+reads no environment variable.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ def bench_config() -> SimConfig:
 @pytest.fixture(scope="session")
 def bench_dataset(bench_config):
     spec = StudySpec(bench_config, day_step=BENCH_DAY_STEP)
-    with Study(spec, ExecutionPlan.from_env(cache_dir=CACHE_DIR)) as study:
+    with Study(spec, ExecutionPlan(cache_dir=CACHE_DIR)) as study:
         return study.run()
 
 

@@ -123,14 +123,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="shard the campaign across N worker processes "
                              "(same dataset, less wall-clock on multi-core)")
-    parser.add_argument("--answer-cache", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="arm the layered answer fast path: zone-body "
-                             "reuse, plus rendered-answer and wire-byte caches "
-                             "in wire mode, on the simulated "
-                             "authoritative side (--no-answer-cache to "
-                             "synthesize every reply from scratch; same "
-                             "dataset either way)")
     parser.add_argument("--continuous", action="store_true",
                         help="collect incrementally: day-slice × domain-shard "
                              "increments folded into a growing longitudinal "
@@ -211,7 +203,6 @@ def scan_main(argv: Optional[List[str]] = None) -> int:
         days_per_increment=args.increment_days or 7,
         max_increments=args.max_increments,
         release_dir=args.release_dir or "releases",
-        answer_cache=args.answer_cache,
     )
     with Study(spec, plan) as study:
         try:

@@ -3,9 +3,9 @@
 Every rule here guards an invariant this reproduction has already been
 burned by (see README.md in this directory for the incident history):
 
-* ``DET01`` — determinism: no ambient randomness / wall-clock reads in
-  the world-model subsystems; stochastic behaviour is a pure function of
-  the world seed via ``simnet/determinism.py``.
+* ``DET01`` — determinism: no ambient randomness, wall-clock or
+  environment reads in the world-model subsystems; stochastic behaviour
+  is a pure function of the world seed via ``simnet/determinism.py``.
 * ``HASH01``/``HASH02`` — hash/pickle stability: the interpreter's
   str-hash seed must never reach pickled state or persisted identity
   (the PR 4 ``Name.__hash__`` cache bug).
@@ -111,6 +111,8 @@ _BANNED_CALLS = {
     "datetime.datetime.utcnow": "wall-clock read",
     "datetime.datetime.today": "wall-clock read",
     "datetime.date.today": "wall-clock read",
+    "os.getenv": "environment read",
+    "os.environ.get": "environment read",
 }
 
 
@@ -122,9 +124,11 @@ class NondeterministicSourceRule(Rule):
     rationale = (
         "simnet/, resolver/, scanner/, zones/, and dnscore/ must be pure "
         "functions of (world seed, sim clock): ambient randomness or "
-        "wall-clock reads fork the dataset between runs. Route "
-        "stochastic behaviour through simnet/determinism.py and time "
-        "through the SimClock."
+        "wall-clock reads fork the dataset between runs, and an "
+        "environment read lets a stray variable change which dataset a "
+        "spec names. Route stochastic behaviour through "
+        "simnet/determinism.py, time through the SimClock, and every "
+        "input through SimConfig."
     )
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
@@ -147,8 +151,9 @@ class NondeterministicSourceRule(Rule):
             elif dotted in _BANNED_CALLS:
                 yield self.finding(
                     src, node,
-                    f"{dotted}() is a {_BANNED_CALLS[dotted]}; simulation "
-                    "time must come from the SimClock / timeline",
+                    f"{dotted}() is a banned {_BANNED_CALLS[dotted]}; simulation "
+                    "time must come from the SimClock / timeline and every "
+                    "other input from SimConfig",
                 )
 
 

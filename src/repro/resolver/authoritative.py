@@ -102,8 +102,8 @@ class AnswerCache:
     """World-shared rendered-answer + wire-byte cache (tiers 1 and 3).
 
     Starts ``enabled=False``: a cache that is not explicitly switched on
-    by the campaign driver (``run_scheduled``'s ``answer_cache`` knob,
-    which switches it on in wire mode only) changes nothing.
+    changes nothing. The owning world switches it on in wire mode only
+    (:meth:`~repro.simnet.world.World.set_answer_cache`).
     ``invalidate()`` drops the rendered entries — called by the world on
     fault install/clear, the one event the zone slots and per-entry
     guards cannot see coming.

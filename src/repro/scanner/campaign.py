@@ -39,14 +39,17 @@ class RunStats:
     queries and TCP connects the run's world(s) carried. The fault-path
     counters (query timeouts, retries, and hosts found unreachable,
     summed over the world's recursive resolvers) surface what a chaos
-    scenario — or organic simulated misbehaviour — cost the clients. The answer fast-path counters
-    report what the layered caches saved: rendered-answer hits/misses
-    (tier 1) and wire-byte patch hits (tier 3), both 0 outside wire
-    mode, and zone builds vs zone-body reuses (tier 2). The pipeline
-    sums per-worker stats into the merged run summary; sequential runs record their single
-    world's counters. ``answer_evictions`` is always 0: rendered answers
-    leave with their zone, not by eviction. The field stays so stored
-    datasets and benchmark records keep their shape.
+    scenario — or organic simulated misbehaviour — cost the clients.
+    The answer fast-path counters report what the world's layered caches
+    saved: rendered-answer hits/misses (tier 1) and wire-byte patch hits
+    (tier 3), both 0 outside wire mode, and zone builds vs zone-body
+    reuses (tier 2). Every world is built with the fast path armed; a
+    world that a test or bench disarmed reports 0 hits and reuses. The
+    pipeline sums per-worker stats into the merged run summary;
+    sequential runs record their single world's counters.
+    ``answer_evictions`` is always 0: rendered answers leave with their
+    zone, not by eviction. The field stays so stored datasets and
+    benchmark records keep their shape.
     """
 
     dns_queries: int = 0
@@ -206,7 +209,6 @@ def run_campaign(
     with_dnssec_snapshot: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     scenario: Optional[FaultSchedule] = None,
-    answer_cache: bool = True,
 ) -> Dataset:
     """Run the full measurement campaign and return the dataset."""
     schedule = build_schedule(
@@ -217,10 +219,7 @@ def run_campaign(
         with_ech_hourly=with_ech_hourly,
         with_dnssec_snapshot=with_dnssec_snapshot,
     )
-    return run_scheduled(
-        world, schedule, progress=progress, scenario=scenario,
-        answer_cache=answer_cache,
-    )
+    return run_scheduled(world, schedule, progress=progress, scenario=scenario)
 
 
 def run_scheduled(
@@ -231,7 +230,6 @@ def run_scheduled(
     scan_nameservers: bool = True,
     seen_https: Optional[AbstractSet[str]] = None,
     scenario: Optional[FaultSchedule] = None,
-    answer_cache: bool = True,
 ) -> Dataset:
     """Execute *schedule* against *world*, optionally restricted to a
     name-slice.
@@ -252,14 +250,10 @@ def run_scheduled(
     the world for the duration of the run (cleared on exit, so reused
     worlds go back pristine); observations are value-equal
     across serial and sharded execution of the same scenario.
-    ``answer_cache`` arms the world's layered answer fast path for the
-    duration of the run (disarmed on exit, like the scenario) — the
-    dataset, per-server query logs, and transport counters are identical
-    either way; only the walltime, memory and the fast-path counters
-    change. Object-mode worlds arm zone-body reuse only, so their
-    ``answer_hits``/``answer_misses`` stay 0: storing rendered answers
-    pays only where it also skips the wire codec (see
-    :meth:`~repro.simnet.world.World.set_answer_cache`).
+    The run uses whatever answer fast path the world has armed. Every
+    world is built armed; a world disarmed for a reference run gives the
+    same dataset, per-server query logs and transport counters (see
+    :class:`~repro.simnet.world.World`).
     """
     config = world.config
     engine = ScanEngine(world)
@@ -273,8 +267,6 @@ def run_scheduled(
     chaos = scenario is not None and bool(scenario)
     if chaos:
         world.install_faults(scenario)
-    if answer_cache:
-        world.set_answer_cache(True)
     try:
         for date in schedule.scan_days:
             world.set_time(date)
@@ -302,10 +294,6 @@ def run_scheduled(
 
         dataset.run_stats = RunStats.of_world(world)
     finally:
-        if answer_cache:
-            # Counters survive disarming (of_world already read them);
-            # pooled worlds must check back in with the fast path off.
-            world.set_answer_cache(False)
         if chaos:
             world.clear_faults()
     return dataset

@@ -336,7 +336,6 @@ class ContinuousCollector:
         days_per_increment: int = 7,
         keep_alive: bool = False,
         scenario: Optional[FaultSchedule] = None,
-        answer_cache: bool = True,
     ):
         if days_per_increment < 1:
             raise ValueError("need at least one scan day per increment")
@@ -368,16 +367,15 @@ class ContinuousCollector:
             schedule=self.schedule,
             keep_alive=True,
             scenario=scenario,
-            answer_cache=answer_cache,
         )
         self.store = CheckpointStore(checkpoint_dir, self._meta())
         self.total_increments = len(self.slices) * self.workers
 
     def _meta(self) -> Dict:
         """The checkpoint identity header: everything that must match for
-        a resume to be sound. The equality-preserving ``answer_cache``
-        knob deliberately stays out — it may change between sessions
-        without invalidating completed increments."""
+        a resume to be sound. The answer fast path stays out: it is a
+        property of each world, not of the collection, and never changes
+        the dataset."""
         return {
             "magic": _MAGIC,
             "version": CHECKPOINT_VERSION,

@@ -118,7 +118,6 @@ def _scan_shard(
     config: SimConfig, schedule: CampaignSchedule, shards: int, index: int,
     seen_https: FrozenSet[str] = frozenset(),
     scenario: Optional[FaultSchedule] = None,
-    answer_cache: bool = True,
 ) -> Dataset:
     """Stage 1: run the daily-scan schedule over one domain shard.
 
@@ -136,7 +135,7 @@ def _scan_shard(
         quiet = dataclasses.replace(schedule, ech_days=())
         return run_scheduled(
             world, quiet, names=names, scan_nameservers=False,
-            seen_https=seen_https, scenario=scenario, answer_cache=answer_cache,
+            seen_https=seen_https, scenario=scenario,
         )
     finally:
         checkin_world(world)
@@ -146,14 +145,11 @@ def _scan_ns_shard(
     config: SimConfig,
     day_hostnames: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
     scenario: Optional[FaultSchedule] = None,
-    answer_cache: bool = True,
 ) -> Tuple[List[Tuple[datetime.date, str, NameServerObservation]], RunStats]:
     """Post-merge NS stage: resolve + WHOIS-attribute name servers."""
     world = checkout_world(config)
     try:
         world.install_faults(scenario)
-        # checkin_world resets the world, which disarms the fast path.
-        world.set_answer_cache(answer_cache)
         engine = ScanEngine(world)
         results: List[Tuple[datetime.date, str, NameServerObservation]] = []
         for date, hostnames in sorted(day_hostnames):
@@ -169,14 +165,11 @@ def _scan_ech_shard(
     config: SimConfig,
     day_targets: Tuple[Tuple[datetime.date, Tuple[str, ...]], ...],
     scenario: Optional[FaultSchedule] = None,
-    answer_cache: bool = True,
 ) -> Tuple[List[EchObservation], RunStats]:
     """Stage 2: hourly ECH rescans for this shard's targets per day."""
     world = checkout_world(config)
     try:
         world.install_faults(scenario)
-        # checkin_world resets the world, which disarms the fast path.
-        world.set_answer_cache(answer_cache)
         engine = ScanEngine(world)
         observations: List[EchObservation] = []
         for date, targets in sorted(day_targets):
@@ -288,13 +281,11 @@ class ParallelCampaignRunner:
         schedule: Optional[CampaignSchedule] = None,
         keep_alive: bool = False,
         scenario: Optional[FaultSchedule] = None,
-        answer_cache: bool = True,
     ):
         self.config = config if config is not None else SimConfig()
         self.workers = max(1, int(workers))
         self.keep_alive = bool(keep_alive)
         self.scenario = scenario
-        self.answer_cache = bool(answer_cache)
         self.schedule = schedule if schedule is not None else build_schedule(
             day_step=day_step,
             start=start,
@@ -338,7 +329,7 @@ class ParallelCampaignRunner:
             dataset = run_scheduled(
                 World(self.config), schedule,
                 progress=progress, seen_https=seen_https,
-                scenario=self.scenario, answer_cache=self.answer_cache,
+                scenario=self.scenario,
             )
             self.run_stats = dataset.run_stats
             return dataset
@@ -348,7 +339,7 @@ class ParallelCampaignRunner:
                     _scan_shard,
                     (
                         self.config, schedule, self.workers, index,
-                        seen_https, self.scenario, self.answer_cache,
+                        seen_https, self.scenario,
                     ),
                 )
                 for index in range(self.workers)
@@ -390,7 +381,7 @@ class ParallelCampaignRunner:
         args = {
             index: (
                 self.config, schedule, self.workers, index,
-                seen, self.scenario, self.answer_cache,
+                seen, self.scenario,
             )
             for index in indices
         }
@@ -487,7 +478,7 @@ class ParallelCampaignRunner:
             tasks.append(
                 (
                     _scan_ns_shard,
-                    (self.config, frozen, self.scenario, self.answer_cache),
+                    (self.config, frozen, self.scenario),
                 )
             )
         if not tasks:
@@ -530,7 +521,7 @@ class ParallelCampaignRunner:
             tasks.append(
                 (
                     _scan_ech_shard,
-                    (self.config, frozen, self.scenario, self.answer_cache),
+                    (self.config, frozen, self.scenario),
                 )
             )
         if not tasks:

@@ -9,7 +9,6 @@ scale (analyses report both raw and scale-corrected shares).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 
@@ -80,18 +79,6 @@ class SimConfig:
     # fallback when no SOA caps it); exposed for negative-cache ablations.
     negative_ttl: int = 60
     wire_mode: bool = False  # route every DNS message through the wire codec
-
-    @classmethod
-    def from_env(cls) -> "SimConfig":
-        """Honour REPRO_POPULATION / REPRO_SEED environment overrides."""
-        kwargs = {}
-        population = os.environ.get("REPRO_POPULATION") or os.environ.get("POPULATION")
-        if population:
-            kwargs["population"] = int(population)
-        seed = os.environ.get("REPRO_SEED")
-        if seed:
-            kwargs["seed"] = seed
-        return cls(**kwargs)
 
     def scaled(self, count_at_1m: float) -> int:
         """Translate an absolute count from the paper (Tranco 1M) to this

@@ -18,9 +18,10 @@ and the tier-2 zone-body store (:meth:`World.zone_of`): when a domain's
 date-dependent inputs of its zone — is unchanged since the zone was
 last built, the built body is reused and only the SOA serial is rolled
 (plus a re-sign on date change) instead of rebuilding from scratch.
-:meth:`World.set_answer_cache` arms zone-body reuse in every mode and
-tiers 1 and 3 in wire mode only; all default off, so a bare ``World()``
-behaves exactly as before.
+A world is built armed: zone-body reuse in every mode, tiers 1 and 3
+in wire mode only. :meth:`World.set_answer_cache` ``(False)`` disarms
+it for a cache-off reference run; datasets and per-server query logs
+are the same either way.
 Rendered answers are held weakly per zone object, so only the zones
 this world keeps (root, TLDs, infra, ``_zone_cache``, ``_zone_bodies``)
 keep answers resident. Every ``_zone_cache`` flush the zones cannot see
@@ -323,9 +324,9 @@ class World:
         self._fault_injector: Optional[faults.FaultInjector] = None
 
         # Layered answer fast path: one cache shared by every
-        # authoritative server and the network's wire path; starts
-        # disarmed (set_answer_cache arms it). Tier-2 zone-body reuse
-        # state and its own armed flag live beside it.
+        # authoritative server and the network's wire path, armed once
+        # the world is built. Tier-2 zone-body reuse state and its own
+        # armed flag live beside it.
         self.answer_cache = AnswerCache()
         self.network.answer_cache = self.answer_cache
         self._zone_bodies: Dict[int, Tuple[tuple, Zone]] = {}
@@ -335,6 +336,7 @@ class World:
 
         self._build_infrastructure()
         self._build_resolvers()
+        self.set_answer_cache(True)
 
     def reset(self) -> None:
         """Return the world to its just-built state so it can be reused.
@@ -354,21 +356,22 @@ class World:
 
         Installed fault schedules are cleared too: parked worlds must
         stay scenario-free, so every run re-installs its own schedule
-        after checkout."""
+        after checkout. The answer fast path comes back armed and empty,
+        as after a build, even if it was disarmed."""
         self.clear_faults()
         self.current_date = timeline.STUDY_START
         self.current_hour = 0.0
         self.clock.rewind(timeline.epoch_seconds(timeline.STUDY_START))
         self._zone_cache.clear()
         self._zone_cache_stamp = (self.current_date, 0)
-        # Back to the just-built state: disarmed, empty, counters zeroed
-        # — a checked-in world must not leak armed or stale fast-path
-        # state into its next checkout.
+        # Back to the just-built state: armed, empty, counters zeroed —
+        # a checked-in world must not leak a disarmed switch or stale
+        # fast-path state into its next checkout.
         self.answer_cache.reset()
-        self._zone_reuse = False
         self._zone_bodies.clear()
         self.zone_builds = 0
         self.zone_body_reuses = 0
+        self.set_answer_cache(True)
         for resolver in (self.google_resolver, self.cloudflare_resolver):
             resolver.reset()
         # Zero the transport counters so RunStats.of_world reports only
@@ -612,9 +615,11 @@ class World:
         36.96 → 34.46 MB (10/10 pairs) and ``campaign_s`` 1.49 → 1.41 s,
         inside the parent's spread.
 
-        Campaign drivers arm it for the duration of a run and disarm in
-        their cleanup path; counters survive disarming so
-        ``RunStats.of_world`` can report them after the run."""
+        Every world is built armed and :meth:`reset` re-arms it, so
+        campaign drivers never call this. ``set_answer_cache(False)`` is
+        a test and bench hook: it disarms the world for a cache-off
+        reference run, which gives the same dataset and per-server query
+        logs. Counters survive disarming."""
         self.answer_cache.set_enabled(enabled and self.config.wire_mode)
         self._zone_reuse = bool(enabled)
         if not enabled:

@@ -1,8 +1,8 @@
 """Unified Study API: declarative StudySpec/ExecutionPlan facade over the
 measurement campaign machinery.
 
-Library callers, ``repro-scan`` flags and the ``REPRO_*`` bench env vars
-all describe a study through three objects:
+Library callers and ``repro-scan`` flags both describe a study through
+three objects:
 
 * :class:`StudySpec` — **what** is measured. The world
   :class:`~repro.simnet.config.SimConfig` plus the schedule knobs
@@ -11,13 +11,12 @@ all describe a study through three objects:
   the canonical cache tag: two studies with equal specs share a cached
   dataset, and nothing outside the spec may influence the tag.
 
-* :class:`ExecutionPlan` — **how** it runs. Workers, the answer fast
-  path, cache/checkpoint/release directories, and the continuous
+* :class:`ExecutionPlan` — **how** it runs. Workers,
+  cache/checkpoint/release directories, and the continuous
   partitioning. Every plan knob is guaranteed not to change the
   resulting dataset (the continuous knobs do join the cache
   *key*, so a half-finished checkpoint can never alias a one-shot cache
   entry — but the finished dataset is value-equal either way).
-  :meth:`ExecutionPlan.from_env` absorbs the ``REPRO_*`` bench knobs.
 
 * :class:`Study` — the compiled session. Owns the persistent
   :class:`~repro.scanner.pipeline.ParallelCampaignRunner` pool and the
@@ -37,23 +36,23 @@ Where each knob lives::
     with_dnssec_snapshot                  StudySpec.with_dnssec_snapshot
     cache_dir                             ExecutionPlan.cache_dir
     workers                               ExecutionPlan.workers
-    answer_cache                          ExecutionPlan.answer_cache
     continuous                            ExecutionPlan.continuous
     checkpoint_dir                        ExecutionPlan.checkpoint_dir
     days_per_increment                    ExecutionPlan.days_per_increment
     max_increments                        ExecutionPlan.max_increments
     release_dir                           ExecutionPlan.release_dir
     progress output                       Study.run(progress=...)
-    REPRO_WORKERS/CONTINUOUS/...          ExecutionPlan.from_env()
 
 Every run executes with cyclic GC paused
 (:func:`~repro.gcutils.paused_gc`): the world is an immortal object
 graph, and full-heap passes over it only cost time.
 
-Unknown field names raise ``TypeError`` at construction, so a
-misspelled option can never be silently cache-keyed. Cache paths keep
-the pre-facade key construction byte for byte (pinned by the golden-tag
-tests), so existing ``.cache`` entries keep hitting.
+Nothing here reads the environment: a dataset's identity is a function
+of the :class:`StudySpec` alone. Unknown field names raise
+``TypeError`` at construction, so a misspelled option can never be
+silently cache-keyed. Cache paths keep the pre-facade key construction
+byte for byte (pinned by the golden-tag tests), so existing ``.cache``
+entries keep hitting.
 
 **Releases.** :meth:`Study.release` completes the paper's "collect and
 release periodically" loop: it snapshots the study's merged dataset and
@@ -130,9 +129,10 @@ class StudySpec:
     """What a study measures: the world plus the scan schedule.
 
     Equal specs name the same dataset — every field here (and nothing
-    else) feeds the canonical cache tag. Schedule fields left ``UNSET``
-    use the campaign defaults and stay out of the tag, matching how the
-    old kwarg surface only keyed on arguments actually passed.
+    else) feeds the canonical cache tag. ``config=None`` means the
+    default ``SimConfig()``. Schedule fields left ``UNSET`` use the
+    campaign defaults and stay out of the tag, matching how the old
+    kwarg surface only keyed on arguments actually passed.
     """
 
     config: Optional[SimConfig] = None
@@ -150,7 +150,7 @@ class StudySpec:
 
     def __post_init__(self):
         if self.config is None:
-            object.__setattr__(self, "config", SimConfig.from_env())
+            object.__setattr__(self, "config", SimConfig())
         if not isinstance(self.config, SimConfig):
             raise TypeError(f"config must be a SimConfig, got {self.config!r}")
         if self.scenario is not None and not isinstance(self.scenario, FaultSchedule):
@@ -215,12 +215,9 @@ class ExecutionPlan:
     campaign as resumable (day-slice × domain-shard) increments against
     an on-disk checkpoint. The finished dataset is value-equal under
     every combination; only the continuous partitioning joins the cache
-    key, so checkpoints never alias one-shot cache entries.
-    ``answer_cache`` arms the worlds' layered answer fast path (default
-    on): zone-body reuse in every mode, plus rendered answers and wire
-    bytes in wire mode, the one mode where they skip work worth their
-    memory (the codec). Like the other knobs it never changes the
-    dataset, so it stays out of ``StudySpec.cache_tag()``.
+    key, so checkpoints never alias one-shot cache entries. The answer
+    fast path is not a plan knob: every
+    :class:`~repro.simnet.world.World` is built with it armed.
     """
 
     workers: int = 1
@@ -230,13 +227,12 @@ class ExecutionPlan:
     days_per_increment: int = 7
     max_increments: Optional[int] = None
     release_dir: str = "releases"
-    answer_cache: bool = True
 
     def __post_init__(self):
         # Clamp like the runner/collector always have (workers=0 ran
         # serially on the old surface; keep that contract). The
-        # continuous knobs are coerced to int so an env-var string can
-        # never fork the cache/checkpoint key (str:'3' vs int:3).
+        # continuous knobs are coerced to int so a string from a command
+        # line can never fork the cache/checkpoint key (str:'3' vs int:3).
         object.__setattr__(self, "workers", max(1, int(self.workers)))
         object.__setattr__(self, "days_per_increment", int(self.days_per_increment))
         if self.max_increments is not None:
@@ -257,31 +253,6 @@ class ExecutionPlan:
                 # Silently dropping these would lose the resumable /
                 # bounded-increment contract the caller asked for.
                 raise ValueError(f"{', '.join(stray)} require continuous=True")
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None, **overrides) -> "ExecutionPlan":
-        """A plan absorbing the ``REPRO_*`` bench knobs.
-
-        Reads ``REPRO_WORKERS``, ``REPRO_CONTINUOUS`` and
-        ``REPRO_ANSWER_CACHE`` (default on — unlike the other flag,
-        absence keeps the cache armed); explicit *overrides* win over
-        the environment. Any other ``REPRO_*`` variable is ignored.
-        """
-        env = os.environ if environ is None else environ
-        kwargs: Dict[str, object] = {}
-        workers = env.get("REPRO_WORKERS")
-        if workers:
-            kwargs["workers"] = int(workers)
-        kwargs["continuous"] = _env_flag(env, "REPRO_CONTINUOUS")
-        kwargs["answer_cache"] = (
-            str(env.get("REPRO_ANSWER_CACHE", "1")).lower() in ("1", "true", "yes", "on")
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-
-def _env_flag(env: Mapping[str, str], name: str) -> bool:
-    return str(env.get(name, "0")).lower() in ("1", "true", "yes", "on")
 
 
 class Study:
@@ -543,7 +514,6 @@ class Study:
                 schedule=self.schedule,
                 keep_alive=True,
                 scenario=self.spec.scenario,
-                answer_cache=self.plan.answer_cache,
             )
         return self._runner
 
@@ -557,7 +527,6 @@ class Study:
                 days_per_increment=self.plan.days_per_increment,
                 keep_alive=True,
                 scenario=self.spec.scenario,
-                answer_cache=self.plan.answer_cache,
                 **self.spec.schedule_overrides(),
             )
         return self._collector

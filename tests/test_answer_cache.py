@@ -6,11 +6,13 @@ fast-path counters, *nothing else*. Every suite here pins one face of
 that claim — dataset value-equality against a cache-off run under
 serial, wire-mode, sharded, continuous kill+resume, and chaos
 execution; per-server ``query_log`` / ``dns_query_count`` identity (the
-cache sits behind logging and the fault hook); lifecycle hygiene
-(``World.reset()`` and campaign cleanup leave no armed or stale state
-behind); zone-owned entries (rendered answers are held only for zones the
-world still keeps, at their current version); and cache identity (the
-execution knob must never reach ``StudySpec.cache_tag()``).
+cache sits behind logging and the fault hook); lifecycle hygiene (a
+world is built armed, ``World.reset()`` re-arms it empty, and a world
+disarmed with ``set_answer_cache(False)`` stays disarmed through a
+campaign); and zone-owned entries (rendered answers are held only for
+zones the world still keeps, at their current version).
+
+The cache-off reference runs disarm their world through that one hook.
 
 Tiers 1 and 3 arm in wire mode only, so the suites that need rendered
 answers run on ``WIRE_CONFIG``; object mode arms zone-body reuse alone.
@@ -36,7 +38,6 @@ from repro.simnet import SimConfig, World, timeline
 from repro.simnet import domains
 from repro.scanner.campaign import RunStats
 from repro.simnet.faults import FaultSchedule
-from repro.study import ExecutionPlan, Study, StudySpec
 from repro.zones.zone import Zone
 
 CONFIG = SimConfig(population=120)
@@ -74,10 +75,17 @@ def query_counts(world):
     }
 
 
-def run_logged(config, answer_cache, **kwargs):
+def disarmed_world(config):
+    """A world with the fast path off: the cache-off reference."""
     world = World(config)
+    world.set_answer_cache(False)
+    return world
+
+
+def run_logged(config, armed, **kwargs):
+    world = World(config) if armed else disarmed_world(config)
     logs = arm_query_logs(world)
-    dataset = run_campaign(world, answer_cache=answer_cache, **kwargs)
+    dataset = run_campaign(world, **kwargs)
     return dataset, logs, world
 
 
@@ -132,7 +140,7 @@ class TestSerialEquivalence:
         logs = arm_query_logs(world)
         held = []
         ds_on = run_campaign(
-            world, answer_cache=True,
+            world,
             progress=lambda _line: held.append(len(world.answer_cache)),
             **ECH_KWARGS,
         )
@@ -143,11 +151,13 @@ class TestSerialEquivalence:
         assert len(world.answer_cache) == 0
         assert ds_on.run_stats.answer_hits == ds_on.run_stats.answer_misses == 0
 
-    def test_campaign_cleanup_disarms_the_world(self, pair):
-        (_, _, _), (_, _, world_on) = pair
-        assert world_on.answer_cache.enabled is False
-        assert len(world_on.answer_cache) == 0
-        assert world_on._zone_bodies == {}
+    def test_disarmed_world_stays_disarmed_through_a_campaign(self, wire_pair):
+        (ds_off, _, world_off), _ = wire_pair
+        assert world_off.answer_cache.enabled is False
+        assert world_off._zone_bodies == {}
+        assert len(world_off.answer_cache) == 0
+        stats = ds_off.run_stats
+        assert stats.zone_body_reuses == stats.answer_hits == stats.answer_misses == 0
 
 
 class TestWireModeEquivalence:
@@ -169,7 +179,7 @@ class TestWireModeEquivalence:
         """Cross-check against the non-wire cached run: the codec plus
         both byte-level caches still change nothing."""
         _, (ds_on, _, _) = wire_pair
-        plain = run_campaign(World(CONFIG), answer_cache=True, **ECH_KWARGS)
+        plain = run_campaign(World(CONFIG), **ECH_KWARGS)
         assert ds_on == plain
 
 
@@ -178,32 +188,23 @@ class TestExecutionModeEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_off(self):
-        return run_campaign(World(CONFIG), answer_cache=False, **ECH_KWARGS)
+        return run_campaign(disarmed_world(CONFIG), **ECH_KWARGS)
 
     def test_sharded(self, serial_off):
-        parallel = ParallelCampaignRunner(
-            WIRE_CONFIG, workers=3, answer_cache=True, **ECH_KWARGS
-        ).run()
+        parallel = ParallelCampaignRunner(WIRE_CONFIG, workers=3, **ECH_KWARGS).run()
         assert parallel == serial_off
         assert parallel.run_stats.answer_hits > 0
-
-    def test_sharded_cache_off_still_equal(self, serial_off):
-        parallel = ParallelCampaignRunner(
-            CONFIG, workers=2, answer_cache=False, **ECH_KWARGS
-        ).run()
-        assert parallel == serial_off
-        assert parallel.run_stats.answer_hits == 0
 
     def test_continuous_kill_and_resume(self, serial_off, tmp_path):
         collector = ContinuousCollector(
             CONFIG, str(tmp_path / "ckpt"), workers=2, days_per_increment=2,
-            answer_cache=True, **ECH_KWARGS
+            **ECH_KWARGS
         )
         with pytest.raises(CollectionInterrupted):
             collector.collect(max_increments=1)
         resumed = ContinuousCollector(
             CONFIG, str(tmp_path / "ckpt"), workers=2, days_per_increment=2,
-            answer_cache=True, **ECH_KWARGS
+            **ECH_KWARGS
         ).collect()
         assert resumed == serial_off
 
@@ -233,7 +234,6 @@ class TestZoneBodyReuse:
 
     def test_reused_zone_equals_fresh_build(self):
         warm = World(CONFIG)
-        warm.set_answer_cache(True)
         day = datetime.date(2023, 7, 14)
         profile = next(
             p for p in warm.listed_profiles(day)
@@ -280,7 +280,6 @@ class TestZoneBodyReuse:
             and self.body_key(before.zone_of(p)) == self.body_key(after.zone_of(p))
         )
         warm = World(CONFIG)
-        warm.set_answer_cache(True)
         warm.set_time(day)
         warm.zone_of(profile)
         builds = warm.zone_builds
@@ -296,7 +295,6 @@ class TestZoneBodyReuse:
         boundary = timeline.H3_29_RETIREMENT
         day = boundary - datetime.timedelta(days=1)
         warm = World(CONFIG)
-        warm.set_answer_cache(True)
         warm.set_time(day)
         profile = next(
             p for p in warm.profiles
@@ -319,7 +317,6 @@ class TestZoneBodyReuse:
 
     def test_same_day_reuse_skips_serial_roll(self):
         world = World(CONFIG)
-        world.set_answer_cache(True)
         day = datetime.date(2023, 7, 14)
         world.set_time(day)
         profile = next(p for p in world.listed_profiles(day) if p.adopter)
@@ -333,23 +330,33 @@ class TestZoneBodyReuse:
 
 
 class TestLifecycle:
-    def test_world_reset_flushes_and_disarms(self):
-        world = World(CONFIG)
-        world.set_answer_cache(True)
-        world.set_time(datetime.date(2023, 7, 14))
-        world.stub.query_https(world.tranco_list()[0])
-        world.reset()
-        assert world.answer_cache.enabled is False
-        assert len(world.answer_cache) == 0
+    @staticmethod
+    def assert_armed_and_empty(world):
+        # Tiers 1 and 3 arm in wire mode only; tier 2 in every mode.
+        assert world.answer_cache.enabled is world.config.wire_mode
+        assert world._zone_reuse is True
         assert world._zone_bodies == {}
-        assert world.answer_cache.hits == 0
-        assert world.answer_cache.misses == 0
-        assert world.zone_builds == 0
-        assert world.zone_body_reuses == 0
+        assert len(world.answer_cache) == 0
+        assert world.answer_cache.hits == world.answer_cache.misses == 0
+        assert world.zone_builds == world.zone_body_reuses == 0
+
+    @pytest.mark.parametrize("config", [CONFIG, WIRE_CONFIG], ids=["object", "wire"])
+    def test_world_is_built_armed_and_reset_rearms(self, config):
+        world = World(config)
+        self.assert_armed_and_empty(world)
+        for disarm in (False, True):
+            world.set_time(datetime.date(2023, 7, 14))
+            world.stub.query_https(world.tranco_list()[0])
+            assert world.zone_builds > 0
+            if disarm:
+                world.set_answer_cache(False)
+            else:
+                assert world._zone_bodies
+            world.reset()
+            self.assert_armed_and_empty(world)
 
     def test_disarm_drops_zone_bodies(self):
         world = World(CONFIG)
-        world.set_answer_cache(True)
         world.set_time(datetime.date(2023, 7, 14))
         world.zone_of(next(p for p in world.listed_profiles() if p.adopter))
         assert world._zone_bodies
@@ -359,7 +366,6 @@ class TestLifecycle:
 
     def test_fault_install_and_clear_invalidate(self):
         world = World(WIRE_CONFIG)
-        world.set_answer_cache(True)
         world.set_time(datetime.date(2023, 9, 15))
         world.stub.query_https(world.tranco_list()[0])
         assert len(world.answer_cache) > 0
@@ -399,7 +405,7 @@ class TestZoneOwnedEntries:
             return of_world(cls, world)
 
         monkeypatch.setattr(RunStats, "of_world", classmethod(capture))
-        run_campaign(World(WIRE_CONFIG), answer_cache=True, **ECH_KWARGS)
+        run_campaign(World(WIRE_CONFIG), **ECH_KWARGS)
         assert seen["entries"] > 0
         assert {zone_id for zone_id, _, _ in seen["slots"]} <= seen["live"]
         assert all(stamp == current for _, stamp, current in seen["slots"])
@@ -412,7 +418,6 @@ class TestZoneOwnedEntries:
         day = boundary - datetime.timedelta(days=1)
         with paused_gc():
             world = World(WIRE_CONFIG)
-            world.set_answer_cache(True)
             world.set_time(day)
             profile = next(
                 p for p in world.profiles
@@ -439,7 +444,6 @@ class TestZoneOwnedEntries:
         day = datetime.date(2023, 7, 14)
         next_day = day + datetime.timedelta(days=1)
         world = World(WIRE_CONFIG)
-        world.set_answer_cache(True)
         world.set_time(day)
         profile = next(
             p for p in world.listed_profiles(day)
@@ -510,27 +514,7 @@ class TestAnswerCacheUnit:
 
 
 class TestCacheIdentity:
-    """The knob is execution-only: it must never reach the cache tag."""
-
-    def test_cache_tag_ignores_answer_cache(self, tmp_path):
-        spec = StudySpec(SimConfig(population=60), day_step=14)
-        tag = spec.cache_tag()
-        on = Study(spec, ExecutionPlan(cache_dir=str(tmp_path), answer_cache=True))
-        off = Study(spec, ExecutionPlan(cache_dir=str(tmp_path), answer_cache=False))
-        assert on.cache_path == off.cache_path
-        assert spec.cache_tag() == tag
-
-    def test_from_env_default_and_override(self):
-        assert ExecutionPlan.from_env(environ={}).answer_cache is True
-        assert ExecutionPlan.from_env(
-            environ={"REPRO_ANSWER_CACHE": "0"}
-        ).answer_cache is False
-        assert ExecutionPlan.from_env(
-            environ={"REPRO_ANSWER_CACHE": "yes"}
-        ).answer_cache is True
-        assert ExecutionPlan.from_env(
-            environ={"REPRO_ANSWER_CACHE": "1"}, answer_cache=False
-        ).answer_cache is False
+    """Fast-path counters are diagnostics that sum across workers."""
 
     def test_run_stats_merge_accumulates_counters(self):
         from repro.scanner.campaign import RunStats

@@ -105,6 +105,12 @@ class TestFixturePairs:
         # randrange, time.time, datetime.now, date.today, urandom, uuid4
         assert len(findings) == 6
 
+    def test_det_flags_environment_reads(self):
+        findings = lint_fixture("det", "bad_environment_read.py")
+        # os.environ.get, os.getenv, and both through `from os import`
+        assert len(findings) == 4
+        assert all("environment read" in f.message for f in findings)
+
     def test_hash01_flags_both_shapes(self):
         findings = lint_fixture("hash_cached", "bad_pickled_cache.py")
         messages = " / ".join(f.message for f in findings)

@@ -126,11 +126,19 @@ class TestCacheTagGolden:
         plain = Study(spec, ExecutionPlan(cache_dir=str(tmp_path)))
         tuned = Study(
             spec,
-            ExecutionPlan(
-                cache_dir=str(tmp_path), workers=4, answer_cache=False,
-            ),
+            ExecutionPlan(cache_dir=str(tmp_path), workers=4),
         )
         assert plain.cache_path == tuned.cache_path
+
+    def test_environment_cannot_move_identity(self, monkeypatch):
+        """A spec without a config means SimConfig(), whatever variables
+        the process happens to carry."""
+        monkeypatch.setenv("REPRO_POPULATION", "77")
+        monkeypatch.setenv("REPRO_SEED", "other")
+        monkeypatch.setenv("POPULATION", "5")
+        spec = StudySpec()
+        assert spec.config == SimConfig()
+        assert spec.cache_tag() == StudySpec(SimConfig()).cache_tag()
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +158,7 @@ class TestValidation:
             {"snapshot_dir": "worlds"},
             {"executor": "thread"},
             {"gc_policy": "pause"},
+            {"answer_cache": False},
         ):
             with pytest.raises(TypeError):
                 ExecutionPlan(**field)
@@ -167,7 +176,7 @@ class TestValidation:
     def test_plan_clamps_degenerate_workers(self):
         """workers=0 ran serially on the old surface (the runner and
         collector clamp with max(1, ...)); the plan keeps that contract
-        instead of breaking REPRO_WORKERS=0 environments."""
+        instead of rejecting `--workers 0`."""
         assert ExecutionPlan(workers=0).workers == 1
         assert ExecutionPlan(workers=-3).workers == 1
 
@@ -178,8 +187,9 @@ class TestValidation:
             ExecutionPlan(continuous=True, max_increments=-1)
 
     def test_plan_coerces_continuous_knobs_to_int(self):
-        """Env-var strings must not fork the cache/checkpoint key
-        (str:'3' vs int:3 would tag differently)."""
+        """Strings from a command line or a config file must not fork
+        the cache/checkpoint key (str:'3' vs int:3 would tag
+        differently)."""
         plan = ExecutionPlan(continuous=True, days_per_increment="3", max_increments="2")
         assert plan.days_per_increment == 3
         assert plan.max_increments == 2
@@ -196,30 +206,6 @@ class TestValidation:
     def test_study_rejects_bare_configs(self):
         with pytest.raises(TypeError):
             Study(TINY_CONFIG)
-
-
-class TestPlanFromEnv:
-    def test_reads_bench_knobs(self):
-        plan = ExecutionPlan.from_env(
-            {"REPRO_WORKERS": "3"},
-            cache_dir="/bench/cache",
-        )
-        assert plan.workers == 3
-        assert plan.continuous is False
-
-    def test_continuous_knob(self):
-        assert ExecutionPlan.from_env({"REPRO_CONTINUOUS": "1"}).continuous
-
-    def test_empty_environment_is_the_default_plan(self):
-        assert ExecutionPlan.from_env({}) == ExecutionPlan()
-
-    def test_retired_knobs_are_ignored(self):
-        environ = {"REPRO_SNAPSHOT": "1", "REPRO_GC": "pause"}
-        assert ExecutionPlan.from_env(environ) == ExecutionPlan()
-
-    def test_overrides_beat_environment(self):
-        plan = ExecutionPlan.from_env({"REPRO_WORKERS": "3"}, workers=1)
-        assert plan.workers == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The wire codec against every message a small wire-mode campaign sends.
 
 The corpus is each ``Message.to_wire`` output of a population-60
-wire-mode campaign, in call order. The campaign runs with the answer
-cache off, so the corpus does not shrink when the cache serves more
+wire-mode campaign, in call order. The campaign's world is disarmed
+(``World.set_answer_cache(False)``), so the corpus does not shrink when the cache serves more
 answers from stored bytes; it holds every message the cache-on run
 encodes. Its digest is pinned: the codec must keep every encoding byte
 for byte. Every message must also decode and re-encode to itself, and
@@ -38,12 +38,11 @@ def corpus():
         encoded.append(wire)
         return wire
 
+    world = World(SimConfig(population=60, wire_mode=True))
+    world.set_answer_cache(False)
     Message.to_wire = recording
     try:
-        run_campaign(
-            World(SimConfig(population=60, wire_mode=True)),
-            day_step=180, ech_sample=3, answer_cache=False,
-        )
+        run_campaign(world, day_step=180, ech_sample=3)
     finally:
         Message.to_wire = original
     return encoded
