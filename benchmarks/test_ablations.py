@@ -6,9 +6,12 @@
 """
 
 import datetime
+import gc
+import time
 
 from repro.dnscore import rdtypes
 from repro.dnssec.validation import ChainValidator
+from repro.gcutils import paused_gc
 from repro.reporting import render_table
 from repro.resolver.recursive import RecursiveResolver
 from repro.simnet import SimConfig, World, timeline
@@ -20,6 +23,18 @@ def _fresh_world(wire_mode: bool = False, population: int = 600) -> World:
     world = World(SimConfig(population=population, wire_mode=wire_mode))
     world.set_time(_DATE)
     return world
+
+
+def _timed(batch, *args) -> float:
+    """Wall time of ``batch(*args)``, collected first and timed with the
+    cyclic GC paused: a full collection over the suite's heap costs more
+    than a whole batch, and where it lands depends on allocations made
+    before the test, not on what the batch does."""
+    gc.collect()
+    with paused_gc():
+        start = time.perf_counter()
+        batch(*args)
+        return time.perf_counter() - start
 
 
 def _scan_batch(world: World, use_cache: bool = True, batch: int = 60) -> int:
@@ -62,19 +77,15 @@ def test_ablation_validator_memoization(benchmark, report):
     for profile in profiles:
         warmup.validate(profile.apex, rdtypes.HTTPS, now)
 
-    def validate_batch(fresh_each_time: bool) -> float:
-        import time
-
-        start = time.perf_counter()
+    def validate_batch(fresh_each_time: bool) -> None:
         validator = ChainValidator(world.validator_source)
         for profile in profiles:
             if fresh_each_time:
                 validator = ChainValidator(world.validator_source)
             validator.validate(profile.apex, rdtypes.HTTPS, now)
-        return time.perf_counter() - start
 
-    memoized = validate_batch(False)
-    cold = validate_batch(True)
+    memoized = _timed(validate_batch, False)
+    cold = _timed(validate_batch, True)
     benchmark.pedantic(validate_batch, args=(False,), rounds=3, iterations=1)
     report(
         render_table(
@@ -89,9 +100,6 @@ def test_ablation_validator_memoization(benchmark, report):
 
 
 def test_ablation_wire_mode(benchmark, report):
-    import gc
-    import time
-
     fast_world = _fresh_world(wire_mode=False)
     wire_world = _fresh_world(wire_mode=True)
     # Fill the process-wide memos (DNSSEC signatures, parsed names) first:
@@ -99,21 +107,8 @@ def test_ablation_wire_mode(benchmark, report):
     # the second one looks cheaper by that much, codec or not.
     _scan_batch(_fresh_world(wire_mode=False))
 
-    # Time each batch with the cyclic collector paused: a full collection
-    # over the suite's heap costs more than a whole batch, and where it
-    # lands depends on allocations made before this test, not on the codec.
-    def timed(world: World) -> float:
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            _scan_batch(world)
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
-
-    fast = timed(fast_world)
-    wire = timed(wire_world)
+    fast = _timed(_scan_batch, fast_world)
+    wire = _timed(_scan_batch, wire_world)
     benchmark.pedantic(_scan_batch, args=(fast_world,), rounds=3, iterations=1)
     report(
         render_table(

@@ -20,11 +20,12 @@ burned by (see README.md in this directory for the incident history):
   inside ``repro.dnscore``, where every caller has already enforced the
   label and name length limits it skips.
 * ``INV01`` — paired invalidation: any scope that clears a
-  ``_zone_cache`` must also invalidate the layered answer cache — or
-  carry a justified ``# codelint: disable=INV01`` proving the cache's
-  zone-owned slots stamped with ``cache_stamp()`` and per-entry guards
-  already cover everything the flush changes (the ``World.set_time``
-  day flush is the one such suppression).
+  ``_zone_cache`` must also re-scope or invalidate the layered answer
+  cache — or carry a justified ``# codelint: disable=INV01`` proving the
+  cache's zone-owned slots stamped with ``cache_stamp()``, per-entry
+  guards and fault scope already cover everything the flush changes
+  (the ``World.set_time`` day flush and the ``World.reset`` flush are
+  the two such suppressions).
 """
 
 from __future__ import annotations
@@ -609,17 +610,27 @@ class UncheckedNameRule(Rule):
 # INV01 — paired cache invalidation
 # ---------------------------------------------------------------------------
 
-#: call-chain tails that count as invalidating the answer fast path.
-_ANSWER_INVALIDATORS = ("invalidate", "reset", "clear", "set_enabled")
+#: call-chain tails on an ``answer_cache`` that count as invalidating
+#: the answer fast path: ``set_scope`` drops every entry of another
+#: fault scope before the next lookup.
+_ANSWER_INVALIDATORS = ("invalidate", "set_scope", "clear")
+#: switches that invalidate only when they turn the fast path off.
+_ANSWER_SWITCHES = ("set_enabled", "set_answer_cache")
 
 
 def _is_zone_cache_clear(chain: List[str]) -> bool:
     return len(chain) >= 2 and chain[-2] == "_zone_cache" and chain[-1] == "clear"
 
 
-def _is_answer_cache_invalidation(chain: List[str]) -> bool:
-    if chain[-1] == "set_answer_cache":
-        return True
+def _is_answer_cache_invalidation(chain: List[str], call: ast.Call) -> bool:
+    if chain[-1] in _ANSWER_SWITCHES:
+        # Re-arming an armed cache drops nothing.
+        return (
+            (chain[-1] == "set_answer_cache" or "answer_cache" in chain[:-1])
+            and bool(call.args)
+            and isinstance(call.args[0], ast.Constant)
+            and call.args[0].value is False
+        )
     return "answer_cache" in chain[:-1] and chain[-1] in _ANSWER_INVALIDATORS
 
 
@@ -631,13 +642,14 @@ class PairedInvalidationRule(Rule):
     rationale = (
         "the layered answer fast path memoizes responses rendered from "
         "the zones in World._zone_cache; a scope that clears the zone "
-        "cache without also invalidating the answer cache (an "
-        "answer_cache .invalidate()/.reset()/.clear()/.set_enabled() "
-        "call, or set_answer_cache()) risks the fast path serving "
-        "answers the flushed state no longer backs — stale bytes with "
-        "no error. Where the answer cache's zone-owned slots stamped "
-        "with cache_stamp() and per-entry guards provably cover "
-        "everything the flush changes, "
+        "cache without also re-scoping or invalidating the answer cache "
+        "(an answer_cache .set_scope()/.invalidate()/.clear() call, or "
+        "set_enabled(False)/set_answer_cache(False)) risks the fast path "
+        "serving answers the flushed state no longer backs — stale "
+        "answers with no error. Re-arming (set_answer_cache(True)) "
+        "drops nothing and does not count. Where the answer cache's "
+        "zone-owned slots stamped with cache_stamp(), per-entry guards "
+        "and fault scope provably cover everything the flush changes, "
         "suppress with a justified '# codelint: disable=INV01' instead."
     )
 
@@ -663,7 +675,7 @@ class PairedInvalidationRule(Rule):
                 continue
             if _is_zone_cache_clear(chain):
                 clears.append(node)
-            elif _is_answer_cache_invalidation(chain):
+            elif _is_answer_cache_invalidation(chain, node):
                 invalidates = True
 
         if clears and not invalidates:
@@ -672,9 +684,9 @@ class PairedInvalidationRule(Rule):
                     src, node,
                     "._zone_cache.clear() without a paired answer-cache "
                     "invalidation in the same scope; add "
-                    "answer_cache.invalidate()/.reset() (or "
-                    "set_answer_cache) so the fast path cannot serve "
-                    "answers rendered from the zones just discarded",
+                    "answer_cache.set_scope(...) (or "
+                    "set_answer_cache(False)) so the fast path cannot "
+                    "serve answers rendered from the zones just discarded",
                 )
         for scope in scopes:
             if isinstance(scope, ast.Lambda):

@@ -12,7 +12,11 @@ written uncompressed. The reader converts its input to ``bytes`` once,
 enforces the 63-octet label and 255-octet name limits itself, and so
 builds decoded names with the unchecked :meth:`Name._unchecked`. It
 remembers every name it decoded by start offset, so a compression
-pointer to an earlier name returns that same :class:`Name` object.
+pointer to an earlier name returns that same :class:`Name` object, and
+it returns one shared :class:`Name` per distinct (case-preserving)
+label tuple across messages, so the decoded messages a process keeps
+(the answer fast path's templates) hold each name once. That table is
+bounded and cleared like :meth:`Name.from_text`'s memo.
 Malformed input raises :class:`WireError` or :class:`BadPointer`, never
 ``IndexError`` or ``struct.error``.
 """
@@ -31,6 +35,20 @@ _MAX_OFFSET = 0x4000  # compression pointers carry 14 bits
 _U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
+
+
+# label tuple -> the one Name read_name returns for it (cleared when full).
+_SHARED_NAMES: Dict[Tuple[bytes, ...], Name] = {}
+_SHARED_NAMES_MAX = 200_000
+
+
+def _shared_name(labels: Tuple[bytes, ...]) -> Name:
+    name = _SHARED_NAMES.get(labels)
+    if name is None:
+        if len(_SHARED_NAMES) >= _SHARED_NAMES_MAX:
+            _SHARED_NAMES.clear()
+        name = _SHARED_NAMES[labels] = Name._unchecked(labels)
+    return name
 
 
 class WireError(ValueError):
@@ -218,7 +236,7 @@ class WireReader:
                 total += length - 1
                 if total > MAX_NAME_LENGTH:
                     raise WireError(f"decoded name exceeds {MAX_NAME_LENGTH} octets")
-                name = Name._unchecked(tuple(labels) + suffix._labels) if labels else suffix
+                name = _shared_name(tuple(labels) + suffix._labels) if labels else suffix
                 break
             if length & 0xC0:
                 raise WireError(f"reserved label type 0x{length & 0xC0:02x}")
@@ -226,7 +244,7 @@ class WireReader:
                 labels.append(b"")
                 if resume < 0:
                     resume = pos + 1
-                name = Name._unchecked(tuple(labels))
+                name = _shared_name(tuple(labels))
                 break
             end = pos + 1 + length
             if end > size:

@@ -41,25 +41,32 @@ out of live world state (:class:`~repro.simnet.world.DynamicTldZone`)
 carry a :meth:`~repro.zones.zone.Zone.answer_guard` token revalidated
 on the first hit of each new day. Entries of a zone that lives on
 survive day and ECH-generation changes — the cross-day hits are most of
-the win — and :class:`~repro.simnet.world.World` only calls
-:meth:`AnswerCache.invalidate` on the events neither slots nor guards
-can see: fault install/clear (fault hooks change answers behind the
-zones' backs) and ``World.reset()``. codelint's ``INV01`` rule enforces
-that every ``_zone_cache`` flush either invalidates alongside or
+the win — and the one event neither slots nor guards can see is a
+change of fault schedule (fault hooks change answers behind the zones'
+backs).
+Every entry is scoped to the schedule it was rendered under
+(:meth:`~repro.simnet.faults.FaultSchedule.canonical_tag`, ``None`` for
+none): :class:`~repro.simnet.world.World` sets the scope on every fault
+install and clear (:meth:`AnswerCache.set_scope`), and entries of
+another scope are dropped before the first lookup or store under the
+new one. So ``World.reset()`` keeps the store: a parked world that is
+checked out again and re-installs the same schedule serves the answers
+it rendered in the previous stage or session, and no other schedule is
+ever served them. codelint's ``INV01`` rule enforces that every
+``_zone_cache`` flush either re-scopes or invalidates alongside, or
 carries an explicit justified suppression.
 
 Tier 3 rides on the tier-1 entry: in ``wire_mode`` the entry carries the
-encoded response bytes plus the decoded client-side message for one
-header signature (flags/rcode/EDNS), so a repeated wire-mode answer
-skips the entire encode **and** decode pass — see
-:meth:`AnswerCache.wire_roundtrip` and :mod:`repro.resolver.network`.
+decoded client-side message for one header signature (flags/rcode/EDNS),
+so a repeated wire-mode answer skips the entire encode **and** decode
+pass — see :meth:`AnswerCache.wire_roundtrip` and
+:mod:`repro.resolver.network`.
 """
 
 from __future__ import annotations
 
-import struct
 import weakref
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..dnscore import rdtypes
 from ..dnscore.message import Message
@@ -72,11 +79,11 @@ from ..zones.zone import Zone
 class CachedAnswer:
     """One rendered answer: the response sections :meth:`AuthoritativeServer.
     handle_query` computed for a (zone, question, quirks) key, plus the
-    tier-3 wire/decode template once the response has been encoded."""
+    tier-3 decoded template once the response has been through the codec."""
 
     __slots__ = (
         "rcode", "authoritative", "answers", "authority", "additional",
-        "soa_serial", "guard", "wire", "decoded",
+        "soa_serial", "guard", "signature", "decoded",
     )
 
     def __init__(self, response: Message):
@@ -92,21 +99,24 @@ class CachedAnswer:
         # Zone-specific freshness token (Zone.answer_guard) revalidated
         # per hit; None for answers valid while the zone's slot is.
         self.guard = None
-        # (header signature, encoded bytes) and the decoded client-side
-        # Message for that signature — filled by wire_roundtrip.
-        self.wire: Optional[Tuple[tuple, bytes]] = None
+        # The header signature and the decoded client-side Message for
+        # it — filled by wire_roundtrip. The encoded bytes are not kept:
+        # a hit never needs them.
+        self.signature: Optional[tuple] = None
         self.decoded: Optional[Message] = None
 
 
 class AnswerCache:
-    """World-shared rendered-answer + wire-byte cache (tiers 1 and 3).
+    """World-shared rendered-answer + decoded-template cache (tiers 1 and 3).
 
     Starts ``enabled=False``: a cache that is not explicitly switched on
     changes nothing. The owning world switches it on in wire mode only
     (:meth:`~repro.simnet.world.World.set_answer_cache`).
-    ``invalidate()`` drops the rendered entries — called by the world on
-    fault install/clear, the one event the zone slots and per-entry
-    guards cannot see coming.
+    :meth:`set_scope` names the fault schedule answers are rendered
+    under — set by the world on fault install/clear, the one event the
+    zone slots and per-entry guards cannot see coming — and entries
+    rendered under another scope are dropped before the next lookup or
+    store.
     """
 
     def __init__(self):
@@ -118,9 +128,13 @@ class AnswerCache:
         self.serial_refreshes = 0
         # zone → (cache_stamp, {(quirks, qname, qtype, DO): entry})
         self._zones = weakref.WeakKeyDictionary()
+        # The fault scope answers are rendered under now, and the scope
+        # the held entries were rendered under.
+        self._scope: Optional[str] = None
+        self._entries_scope: Optional[str] = None
         # Decoded query templates (client→server leg). A query parse is a
-        # pure function of its bytes — no zone or clock dependence — so
-        # these never go stale: one per distinct question asked.
+        # pure function of its bytes — no zone, clock or fault dependence
+        # — so these never go stale: one per distinct question asked.
         self._queries: Dict[tuple, Message] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -136,20 +150,28 @@ class AnswerCache:
         self._zones.clear()
         self._queries.clear()
 
-    def invalidate(self) -> None:
-        """Drop every rendered entry (answers changed behind the keys)."""
-        self._zones.clear()
+    def set_scope(self, scope: Optional[str]) -> None:
+        """Render answers under fault scope *scope* from now on (a fault
+        schedule's canonical tag, ``None`` for no schedule).
 
-    def reset(self) -> None:
-        """Back to the just-built state: disabled, empty, counters zeroed."""
-        self.enabled = False
+        Entries rendered under another scope are dropped before the
+        first lookup or store under this one, not here: a schedule that
+        is cleared and then installed again before any query keeps them.
+        """
+        self._scope = scope
+
+    def _adopt_scope(self) -> None:
+        self._zones.clear()
+        self._entries_scope = self._scope
+
+    def reset_counters(self) -> None:
+        """Zero the counters. Entries, templates, scope and the enabled
+        switch are kept: they stay valid across a world reset."""
         self.hits = 0
         self.misses = 0
         self.wire_hits = 0
         self.query_hits = 0
         self.serial_refreshes = 0
-        self._zones.clear()
-        self._queries.clear()
 
     def __len__(self) -> int:
         """Rendered entries held, over every zone still alive."""
@@ -168,7 +190,9 @@ class AnswerCache:
         mismatch is repaired in place rather than missed: the fresh
         synthesis would differ from the entry in exactly the SOA it
         attaches, so :meth:`_refresh_serial` swaps in the zone's current
-        SOA and patches the wire template's 4 serial bytes."""
+        SOA and patches the decoded template's SOA."""
+        if self._scope != self._entries_scope:
+            self._adopt_scope()
         slot = self._zones.get(zone)
         if slot is not None and slot[0] == zone.cache_stamp():
             entry = slot[1].get(key)
@@ -197,17 +221,14 @@ class AnswerCache:
         unchanged unsigned zone, so the answer this entry would be
         re-synthesized into differs in exactly one RRset: swap the
         zone's current SOA into the cached sections (the same object a
-        fresh ``_attach_soa`` would append) and splice the new serial
-        into the encoded template — its only encoding is the 4-byte u32
-        in the SOA rdata, located by searching for the old serial's
-        bytes. If that byte pattern is not unique in the message the
-        templates are dropped instead, and the next wire round trip
-        re-encodes from the refreshed sections."""
+        fresh ``_attach_soa`` would append) and into the decoded
+        template (:meth:`_patch_decoded`). If the template holds no such
+        SOA it is dropped, and the next wire round trip re-encodes from
+        the refreshed sections."""
         new_soa = zone.soa
         new_serial = zone.soa_serial
         if new_soa is None or new_serial is None:
             return False
-        old_serial = entry.soa_serial
         replaced = False
         for section_name in ("authority", "answers"):
             section = getattr(entry, section_name)
@@ -224,36 +245,20 @@ class AnswerCache:
         if not replaced:
             return False
         entry.soa_serial = new_serial
-        cached = entry.wire
-        if cached is not None:
-            wire = cached[1]
-            needle = struct.pack("!I", old_serial)
-            idx = wire.find(needle)
-            if idx < 0 or wire.find(needle, idx + 1) != -1:
-                entry.wire = None
-                entry.decoded = None
-            else:
-                patched_wire = (
-                    wire[:idx] + struct.pack("!I", new_serial) + wire[idx + 4:]
-                )
-                decoded = self._patch_decoded(entry.decoded, zone.apex, new_serial)
-                if decoded is None:
-                    entry.wire = None
-                    entry.decoded = None
-                else:
-                    entry.wire = (cached[0], patched_wire)
-                    entry.decoded = decoded
+        if entry.decoded is not None:
+            entry.decoded = self._patch_decoded(entry.decoded, zone.apex, new_serial)
+            if entry.decoded is None:
+                entry.signature = None
         self.serial_refreshes += 1
         return True
 
     @staticmethod
-    def _patch_decoded(decoded: Optional[Message], apex: Name, new_serial: int) -> Optional[Message]:
+    def _patch_decoded(decoded: Message, apex: Name, new_serial: int) -> Optional[Message]:
         """Clone the decoded client-side template with its SOA serial
-        replaced. A clone (not an in-place edit) because the old template
-        has been handed to clients as a live response; a fresh RRset (not
-        an rdata edit) because resolvers may have cached the old one."""
-        if decoded is None:
-            return None
+        replaced, or None if it holds no SOA for *apex*. A clone (not an
+        in-place edit) because the old template has been handed to
+        clients as a live response; a fresh RRset (not an rdata edit)
+        because resolvers may have cached the old one."""
         for section_name in ("authority", "answers"):
             section = getattr(decoded, section_name)
             for i, rrset in enumerate(section):
@@ -287,6 +292,8 @@ class AnswerCache:
         return None
 
     def store(self, key: tuple, response: Message, zone: Zone) -> CachedAnswer:
+        if self._scope != self._entries_scope:
+            self._adopt_scope()
         entry = CachedAnswer(response)
         if any(rrset.rdtype == rdtypes.SOA for rrset in entry.authority + entry.answers):
             entry.soa_serial = zone.soa_serial
@@ -300,13 +307,13 @@ class AnswerCache:
         slot[1][key] = entry
         return entry
 
-    # -- tier 3: wire bytes ------------------------------------------------
+    # -- tier 3: decoded templates -----------------------------------------
 
     def wire_roundtrip(self, response: Message, entry: CachedAnswer) -> Message:
         """The wire-mode server→client round trip for a cached answer.
 
-        The entry's encoded bytes and decoded client-side message are
-        valid for any response whose header matches the stored signature
+        The entry's decoded client-side message is valid for any
+        response whose header matches the stored signature
         (flags including RD, rcode, opcode, EDNS negotiation, DO) — a
         repeated answer skips the entire encode/decode pass and returns
         the shared decoded template. Sharing is safe because the
@@ -323,13 +330,11 @@ class AnswerCache:
             response.edns_payload_size,
             response.dnssec_ok,
         )
-        cached = entry.wire
-        if cached is not None and cached[0] == signature:
+        if entry.signature == signature:
             self.wire_hits += 1
             return entry.decoded
-        wire = response.to_wire()
-        decoded = Message.from_wire(wire)
-        entry.wire = (signature, wire)
+        decoded = Message.from_wire(response.to_wire())
+        entry.signature = signature
         entry.decoded = decoded
         return decoded
 

@@ -23,14 +23,15 @@ lose exactly the same deliveries.
 **Wire-byte fast path (tier 3).** In ``wire_mode``, when the world's
 :class:`~repro.resolver.authoritative.AnswerCache` is enabled, the
 server→client leg reuses what the tier-1 cache entry has already been
-through the codec once: the entry pins the encoded bytes and the decoded
-client-side message for one header signature, so a repeated answer skips
+through the codec once: the entry pins the decoded client-side message
+for one header signature, so a repeated answer skips
 the entire ``to_wire``/``from_wire`` pair (the resolver treats upstream
 responses as immutable, which is what makes the shared decoded template
 safe). The fast path is strictly behind ``dns_query_count`` accounting
 and the fault hook, so counters and faulted deliveries are identical
-with the cache on or off; the client→server leg always round-trips the
-query for codec fidelity.
+with the cache on or off. The client→server leg round-trips each
+distinct question once and then reuses its decoded query template
+(:meth:`~repro.resolver.authoritative.AnswerCache.query_roundtrip`).
 """
 
 from __future__ import annotations

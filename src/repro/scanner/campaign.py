@@ -41,7 +41,7 @@ class RunStats:
     summed over the world's recursive resolvers) surface what a chaos
     scenario — or organic simulated misbehaviour — cost the clients.
     The answer fast-path counters report what the world's layered caches
-    saved: rendered-answer hits/misses (tier 1) and wire-byte patch hits
+    saved: rendered-answer hits/misses (tier 1) and decoded-template hits
     (tier 3), both 0 outside wire mode, and zone builds vs zone-body
     reuses (tier 2). Every world is built with the fast path armed; a
     world that a test or bench disarmed reports 0 hits and reuses. The

@@ -14,10 +14,16 @@ both halves of that identity and reuses built worlds within a process:
 * :func:`checkout_world` hands out an exclusively owned world: the idle
   one parked for its config tag, else a fresh build. :func:`checkin_world`
   resets the world (:meth:`~repro.simnet.world.World.reset`: clock
-  rewound, time-stamped caches flushed) and parks it for the next
-  checkout, so consecutive stages and ``Study`` sessions in one process
-  share one build and its warm memos. A reset world answers bit-for-bit
-  like a fresh build (``tests/test_snapshot.py`` checks this).
+  rewound, time-stamped caches flushed, fault schedule cleared) and
+  parks it for the next checkout, so consecutive stages and ``Study``
+  sessions in one process share one build and its warm memos: the
+  signature and DS memos, and the answer fast path — zone bodies reused
+  by fingerprint, rendered answers scoped to the fault schedule they
+  were rendered under, and decoded query templates. A stage that
+  re-installs the previous stage's schedule starts with its answers
+  warm. A reset world answers bit-for-bit like a fresh build
+  (``tests/test_snapshot.py`` and ``tests/test_answer_cache.py`` check
+  this).
 
 The idle pool is a plain per-process dict: execution is either inline
 or in pool worker processes, and each process has its own pool. Parked

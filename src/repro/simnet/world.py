@@ -12,8 +12,9 @@ all follow the clock.
 
 **Answer fast path.** The world owns the shared
 :class:`~repro.resolver.authoritative.AnswerCache` (tier 1: rendered
-answers; tier 3: wire bytes — see :mod:`repro.resolver.authoritative`)
-and the tier-2 zone-body store (:meth:`World.zone_of`): when a domain's
+answers; tier 3: decoded templates — see
+:mod:`repro.resolver.authoritative`) and the tier-2 zone-body store
+(:meth:`World.zone_of`): when a domain's
 :func:`~repro.simnet.domains.zone_body_fingerprint` — the exact
 date-dependent inputs of its zone — is unchanged since the zone was
 last built, the built body is reused and only the SOA serial is rolled
@@ -24,9 +25,12 @@ it for a cache-off reference run; datasets and per-server query logs
 are the same either way.
 Rendered answers are held weakly per zone object, so only the zones
 this world keeps (root, TLDs, infra, ``_zone_cache``, ``_zone_bodies``)
-keep answers resident. Every ``_zone_cache`` flush the zones cannot see
-(``install_faults``/``clear_faults``, ``reset``) also invalidates the
-answer cache — codelint rule ``INV01`` enforces the pairing.
+keep answers resident. They are scoped to the fault schedule they were
+rendered under: ``install_faults``/``clear_faults`` re-scope the answer
+cache alongside their ``_zone_cache`` flush — codelint rule ``INV01``
+enforces the pairing. :meth:`World.reset` keeps zone bodies, rendered
+answers and query templates, so a pooled world resumes with its fast
+path warm.
 """
 
 from __future__ import annotations
@@ -345,30 +349,44 @@ class World:
         whose entries are stamped with (or derived from) the current
         time: the per-day zone cache, both resolvers' record and
         delegation caches, and their validators' zone-key verdict
-        memos. Deterministic time-keyed memos — the TLD DS
-        cache (keyed per day) and the ECH key-generation table — are
-        kept: their entries are pure functions of (config, date/hour).
-        A reset world answers every query bit-for-bit like a freshly
-        built one, which is what lets
-        :func:`~repro.simnet.snapshot.checkin_world` park one world for
-        a sequence of pipeline tasks and ``Study`` sessions in a process
-        instead of rebuilding per task.
+        memos. Installed fault schedules are cleared too: parked worlds
+        must stay scenario-free, so every run re-installs its own
+        schedule after checkout. Counters are zeroed, and a disarmed
+        answer fast path comes back armed.
 
-        Installed fault schedules are cleared too: parked worlds must
-        stay scenario-free, so every run re-installs its own schedule
-        after checkout. The answer fast path comes back armed and empty,
-        as after a build, even if it was disarmed."""
+        What is a pure function of its key is kept: the TLD DS cache
+        (keyed per day), the ECH key-generation table, and the answer
+        fast path. Zone bodies are keyed by
+        :func:`~repro.simnet.domains.zone_body_fingerprint` and rolled
+        to whatever date the next run asks for; rendered answers live as
+        long as those bodies and are scoped to the fault schedule they
+        were rendered under (see
+        :class:`~repro.resolver.authoritative.AnswerCache`); query
+        templates are pure functions of their bytes. A reset world
+        answers every query bit-for-bit like a freshly built one, which
+        is what lets :func:`~repro.simnet.snapshot.checkin_world` park
+        one world for a sequence of pipeline tasks and ``Study``
+        sessions in a process, each stage starting warm."""
         self.clear_faults()
         self.current_date = timeline.STUDY_START
         self.current_hour = 0.0
         self.clock.rewind(timeline.epoch_seconds(timeline.STUDY_START))
-        self._zone_cache.clear()
+        # Rendered answers survive this flush: each is owned by its zone
+        # (zones dropped here take their answers with them), stamped with
+        # the zone's version and serial, and scoped to the fault schedule
+        # it was rendered under.
+        self._zone_cache.clear()  # codelint: disable=INV01
         self._zone_cache_stamp = (self.current_date, 0)
-        # Back to the just-built state: armed, empty, counters zeroed —
-        # a checked-in world must not leak a disarmed switch or stale
-        # fast-path state into its next checkout.
-        self.answer_cache.reset()
-        self._zone_bodies.clear()
+        # Bodies of domains that double as an NS suffix (cf-ns.com) go:
+        # zone_of adds the NS-host records after signing, so a reused
+        # body serves them signed where a fresh build does not. Drop this
+        # once the NS-host records move into build_zone (ROADMAP,
+        # NS-suffix defect (a)).
+        for apex in self._infra_provider:
+            profile = self._by_apex.get(apex)
+            if profile is not None:
+                self._zone_bodies.pop(profile.index, None)
+        self.answer_cache.reset_counters()
         self.zone_builds = 0
         self.zone_body_reuses = 0
         self.set_answer_cache(True)
@@ -589,9 +607,14 @@ class World:
 
     def _forget_fault_state(self) -> None:
         """Drop what was derived under the previous fault schedule: built
-        zones, rendered answers and DNSSEC zone-key verdicts."""
+        zones and DNSSEC zone-key verdicts. Rendered answers are
+        re-scoped to the schedule now installed; those of another
+        schedule are dropped before the next lookup, so clearing and
+        re-installing one schedule keeps them."""
+        injector = self._fault_injector
+        scope = None if injector is None else injector.schedule.canonical_tag()
         self._zone_cache.clear()
-        self.answer_cache.invalidate()
+        self.answer_cache.set_scope(scope)
         for resolver in (self.google_resolver, self.cloudflare_resolver):
             resolver.validator.flush()
 
@@ -606,8 +629,9 @@ class World:
         """Arm (or disarm) the layered answer fast path.
 
         Tier 2 (zone-body reuse) arms in every mode. Tiers 1 and 3 (the
-        :class:`AnswerCache` of rendered answers and wire bytes) arm only
-        in ``wire_mode``: there a hit skips the encode and decode passes.
+        :class:`AnswerCache` of rendered answers and decoded templates)
+        arm only in ``wire_mode``: there a hit skips the encode and
+        decode passes.
         In object mode a hit skips only answer assembly. On perfbench's
         ``daily`` workload (2-core host, Python 3.11) the rendered
         answers held 2.4 MB of the 12.2 MB traced heap at the end of the

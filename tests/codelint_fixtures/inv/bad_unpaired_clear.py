@@ -11,6 +11,10 @@ class World:
     def set_time(self, stamp):
         self._zone_cache.clear()  # INV01: no paired invalidation here
 
+    def reset(self):
+        self._zone_cache.clear()  # INV01: re-arming drops no answer
+        self.set_answer_cache(True)
+
     def elsewhere(self):
         # an invalidation in a *different* method does not pair
         self.answer_cache.invalidate()

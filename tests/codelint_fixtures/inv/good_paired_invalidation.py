@@ -13,7 +13,7 @@ class World:
 
     def reset(self):
         self._zone_cache.clear()
-        self.answer_cache.reset()
+        self.answer_cache.set_scope(None)
 
     def install_faults(self, schedule):
         self._zone_cache.clear()

@@ -7,10 +7,13 @@ that claim — dataset value-equality against a cache-off run under
 serial, wire-mode, sharded, continuous kill+resume, and chaos
 execution; per-server ``query_log`` / ``dns_query_count`` identity (the
 cache sits behind logging and the fault hook); lifecycle hygiene (a
-world is built armed, ``World.reset()`` re-arms it empty, and a world
-disarmed with ``set_answer_cache(False)`` stays disarmed through a
-campaign); and zone-owned entries (rendered answers are held only for
-zones the world still keeps, at their current version).
+world is built armed, ``World.reset()`` re-arms it and keeps its fast
+path, rendered answers are scoped to the fault schedule they were
+rendered under, and a world disarmed with ``set_answer_cache(False)``
+stays disarmed through a campaign); pooled-world reuse (a collection
+on one pooled world equals one on fresh worlds); and zone-owned entries
+(rendered answers are held only for zones the world still keeps, at
+their current version).
 
 The cache-off reference runs disarm their world through that one hook.
 
@@ -19,12 +22,14 @@ answers run on ``WIRE_CONFIG``; object mode arms zone-body reuse alone.
 """
 
 import datetime
+import hashlib
 import os
 import weakref
 
 import pytest
 
 from repro.dnscore import rdtypes
+from repro.dnscore.message import Message
 from repro.dnscore.names import Name
 from repro.gcutils import paused_gc
 from repro.resolver.authoritative import AnswerCache
@@ -34,10 +39,11 @@ from repro.scanner import (
     ParallelCampaignRunner,
     run_campaign,
 )
-from repro.simnet import SimConfig, World, timeline
-from repro.simnet import domains
+from repro.scanner import pipeline
 from repro.scanner.campaign import RunStats
-from repro.simnet.faults import FaultSchedule
+from repro.simnet import SimConfig, World, domains, ipspace, snapshot, timeline
+from repro.simnet.faults import FaultSchedule, FaultSpec
+from repro.simnet.providers import PROVIDERS
 from repro.zones.zone import Zone
 
 CONFIG = SimConfig(population=120)
@@ -331,29 +337,37 @@ class TestZoneBodyReuse:
 
 class TestLifecycle:
     @staticmethod
-    def assert_armed_and_empty(world):
+    def assert_armed_with_zeroed_counters(world):
         # Tiers 1 and 3 arm in wire mode only; tier 2 in every mode.
         assert world.answer_cache.enabled is world.config.wire_mode
         assert world._zone_reuse is True
-        assert world._zone_bodies == {}
-        assert len(world.answer_cache) == 0
         assert world.answer_cache.hits == world.answer_cache.misses == 0
         assert world.zone_builds == world.zone_body_reuses == 0
 
     @pytest.mark.parametrize("config", [CONFIG, WIRE_CONFIG], ids=["object", "wire"])
-    def test_world_is_built_armed_and_reset_rearms(self, config):
+    def test_reset_rearms_and_keeps_the_fast_path(self, config):
+        """A world is built armed and empty. Reset zeroes the counters and
+        keeps zone bodies (and, in wire mode, rendered answers and query
+        templates); a disarmed world comes back armed and empty."""
         world = World(config)
-        self.assert_armed_and_empty(world)
-        for disarm in (False, True):
-            world.set_time(datetime.date(2023, 7, 14))
-            world.stub.query_https(world.tranco_list()[0])
-            assert world.zone_builds > 0
-            if disarm:
-                world.set_answer_cache(False)
-            else:
-                assert world._zone_bodies
-            world.reset()
-            self.assert_armed_and_empty(world)
+        self.assert_armed_with_zeroed_counters(world)
+        assert world._zone_bodies == {} and len(world.answer_cache) == 0
+        world.set_time(datetime.date(2023, 7, 14))
+        world.stub.query_https(world.tranco_list()[1])
+        bodies = dict(world._zone_bodies)
+        answers = len(world.answer_cache)
+        assert bodies and world.zone_builds > 0
+        assert (answers > 0) is config.wire_mode
+        world.reset()
+        self.assert_armed_with_zeroed_counters(world)
+        assert world._zone_bodies == bodies
+        assert len(world.answer_cache) == answers
+        assert bool(world.answer_cache._queries) is config.wire_mode
+
+        world.set_answer_cache(False)
+        world.reset()
+        self.assert_armed_with_zeroed_counters(world)
+        assert world._zone_bodies == {} and len(world.answer_cache) == 0
 
     def test_disarm_drops_zone_bodies(self):
         world = World(CONFIG)
@@ -364,16 +378,125 @@ class TestLifecycle:
         assert world._zone_bodies == {}
         assert len(world.answer_cache) == 0
 
-    def test_fault_install_and_clear_invalidate(self):
+    def test_answers_are_scoped_to_their_fault_schedule(self):
+        """An answer rendered under schedule S is never served under
+        another schedule or none, and is served again once S is back
+        after a reset (the pooled-world checkout path)."""
+        day = datetime.date(2023, 9, 15)
+        chaos = FaultSchedule.load(SCENARIO_PATH)
+        loss = FaultSchedule(
+            name="loss",
+            specs=(FaultSpec(kind="packet_loss", ip=ipspace.TLD_SERVER_IP, rate=0.5),),
+        )
         world = World(WIRE_CONFIG)
-        world.set_time(datetime.date(2023, 9, 15))
-        world.stub.query_https(world.tranco_list()[0])
-        assert len(world.answer_cache) > 0
-        world.install_faults(FaultSchedule.load(SCENARIO_PATH))
-        assert len(world.answer_cache) == 0
-        world.stub.query_https(world.tranco_list()[0])
+        root = world.network.dns_server_at(ipspace.ROOT_SERVER_IP)
+
+        def ask():
+            query = Message.make_query(Name.from_text("com."), rdtypes.NS)
+            return root.handle_query(query).answer_entry
+
+        world.set_time(day)
+        world.install_faults(chaos)
+        rendered = ask()
+        assert ask() is rendered
+
+        world.reset()
+        world.install_faults(chaos)
+        world.set_time(day)
+        assert ask() is rendered
+
+        world.install_faults(loss)
+        assert ask() is not rendered
+
+        world.install_faults(chaos)
+        rendered = ask()
         world.clear_faults()
-        assert len(world.answer_cache) == 0
+        assert ask() is not rendered
+
+    def test_ns_suffix_body_does_not_survive_reset(self):
+        """cf-ns.com doubles as an NS suffix: zone_of adds its NS-host
+        records after signing, so its body is rebuilt after a reset."""
+        world = World(CONFIG)
+        world.set_time(datetime.date(2023, 7, 14))
+        ns_suffix = world.profile_by_name("cf-ns.com")
+        other = next(
+            p for p in world.listed_profiles()
+            if p.adopter and p.index != ns_suffix.index
+        )
+        world.zone_of(ns_suffix)
+        world.zone_of(other)
+        assert {ns_suffix.index, other.index} <= set(world._zone_bodies)
+        world.reset()
+        assert ns_suffix.index not in world._zone_bodies
+        assert other.index in world._zone_bodies
+
+
+class TestPooledWorldReuse:
+    """A continuous collection that checks one pooled world out at every
+    stage, fast path carried across resets, equals one that builds a
+    fresh world at every checkout: same dataset, same per-server query
+    logs."""
+
+    LOSS = FaultSchedule(
+        name="cloudflare-loss",
+        specs=(
+            FaultSpec(
+                kind="packet_loss",
+                start=datetime.date(2023, 9, 1),
+                end=datetime.date(2024, 1, 31),
+                ip=PROVIDERS["cloudflare"].server_ip,
+                rate=0.2,
+            ),
+        ),
+    )
+
+    def collect(self, config, directory, monkeypatch, pooled):
+        checked_out = []
+
+        def checkout(cfg):
+            world = snapshot.checkout_world(cfg)
+            arm_query_logs(world)
+            if world not in checked_out:
+                checked_out.append(world)
+            return world
+
+        monkeypatch.setattr(snapshot, "_IDLE", {})
+        monkeypatch.setattr(pipeline, "checkout_world", checkout)
+        if not pooled:
+            monkeypatch.setattr(pipeline, "checkin_world", lambda world: None)
+        collector_kwargs = dict(
+            day_step=70, ech_sample=10, days_per_increment=2, scenario=self.LOSS
+        )
+        while True:
+            try:
+                dataset = ContinuousCollector(
+                    config, directory, **collector_kwargs
+                ).collect(max_increments=1)
+                break
+            except CollectionInterrupted:
+                continue
+        monkeypatch.undo()
+        logs = {}
+        for world in checked_out:
+            for ip, log in arm_query_logs(world).items():
+                logs.setdefault(ip, []).extend(log)
+        digests = {
+            ip: hashlib.sha256(repr(log).encode()).hexdigest() for ip, log in logs.items()
+        }
+        return dataset, digests, len(checked_out)
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_pooled_world_equals_fresh_worlds(self, seed, tmp_path, monkeypatch):
+        config = SimConfig(population=250, seed=seed, wire_mode=True)
+        fresh, fresh_logs, fresh_worlds = self.collect(
+            config, str(tmp_path / "fresh"), monkeypatch, pooled=False
+        )
+        pooled, pooled_logs, pooled_worlds = self.collect(
+            config, str(tmp_path / "pooled"), monkeypatch, pooled=True
+        )
+        assert pooled_worlds == 1 < fresh_worlds
+        assert pooled == fresh
+        assert pooled_logs == fresh_logs
 
 
 class TestZoneOwnedEntries:
@@ -502,15 +625,19 @@ class TestAnswerCacheUnit:
         cache.set_enabled(True)
         assert len(cache) == 0
 
-    def test_invalidate_keeps_counters(self):
+    def test_rescope_drops_other_scopes_and_keeps_counters(self):
         cache = AnswerCache()
         cache.set_enabled(True)
         zone = Zone(self.ZONE_APEX)
         cache.store(self.key(1), self.FakeResponse(), zone)
-        cache.lookup(self.key(1), zone)
-        cache.invalidate()
+        assert cache.lookup(self.key(1), zone) is not None
+        cache.set_scope("other")
+        cache.set_scope(None)  # back before any lookup: nothing dropped
+        assert cache.lookup(self.key(1), zone) is not None
+        cache.set_scope("other")
+        assert cache.lookup(self.key(1), zone) is None
         assert len(cache) == 0
-        assert cache.hits == 1
+        assert cache.hits == 2 and cache.misses == 1
 
 
 class TestCacheIdentity:

@@ -294,15 +294,15 @@ class TestMutations:
 
 
     def test_removing_answer_cache_invalidation_fires(self):
-        """The paired-invalidation invariant: deleting one of world.py's
-        answer_cache.invalidate() lines next to a _zone_cache.clear()
+        """The paired-invalidation invariant: deleting world.py's
+        answer_cache.set_scope(...) call next to a _zone_cache.clear()
         must trip INV01 — otherwise the fast path would serve answers
-        rendered from zones that no longer exist."""
+        rendered under a fault schedule that is no longer installed."""
         world_py = os.path.join(SRC, "repro", "simnet", "world.py")
         with open(world_py) as handle:
             source = handle.read()
         mutated = re.sub(
-            r"\n *self\.answer_cache\.invalidate\(\)", "", source, count=1
+            r"\n *self\.answer_cache\.set_scope\([^()\n]*\)", "", source, count=1
         )
         assert mutated != source, "mutation did not apply"
         clean = lint_source(parse_source(world_py, module="repro.simnet.world"))
