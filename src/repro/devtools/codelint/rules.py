@@ -18,7 +18,9 @@ burned by (see README.md in this directory for the incident history):
   ``ipv6hint-mismatch`` message bug).
 * ``NAME01`` — the unchecked ``Name._unchecked`` constructor stays
   inside ``repro.dnscore``, where every caller has already enforced the
-  label and name length limits it skips.
+  label and name length limits it skips; so does building a ``Name``
+  through ``Name.__new__`` or ``object.__new__(Name)``, which bypasses
+  the intern table.
 * ``INV01`` — paired invalidation: any scope that clears a
   ``_zone_cache`` must also re-scope or invalidate the layered answer
   cache — or carry a justified ``# codelint: disable=INV01`` proving the
@@ -578,6 +580,23 @@ class GcHygieneRule(Rule):
 _UNCHECKED_NAME_CTOR = "_unchecked"
 
 
+def _is_name_class(node: ast.AST) -> bool:
+    chain = _dotted_chain(node)
+    return chain is not None and chain[-1] == "Name"
+
+
+def _bypasses_name_intern_table(node: ast.AST) -> bool:
+    """``Name.__new__`` (called or aliased) or ``object.__new__(Name)``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__new__" and _is_name_class(node.value)
+    return (
+        isinstance(node, ast.Call)
+        and _dotted_chain(node.func) == ["object", "__new__"]
+        and bool(node.args)
+        and _is_name_class(node.args[0])
+    )
+
+
 @register
 class UncheckedNameRule(Rule):
     code = "NAME01"
@@ -590,7 +609,9 @@ class UncheckedNameRule(Rule):
         "limits themselves. Anywhere else an oversized or malformed name "
         "would enter the world model unnoticed and only fail (or encode "
         "wrongly) much later; construct with Name(...) or "
-        "Name.from_text(...) instead."
+        "Name.from_text(...) instead. Name.__new__ and "
+        "object.__new__(Name) also skip the intern table that makes "
+        "each name one object, and leave the name's caches unset."
     )
 
     def check(self, src: SourceFile) -> Iterator[Finding]:
@@ -601,6 +622,13 @@ class UncheckedNameRule(Rule):
                 yield self.finding(
                     src, node,
                     f"{_UNCHECKED_NAME_CTOR}() skips Name validation and is "
+                    "reserved to repro.dnscore; use Name(...) or "
+                    "Name.from_text(...)",
+                )
+            elif _bypasses_name_intern_table(node):
+                yield self.finding(
+                    src, node,
+                    "__new__ builds a Name outside the intern table and is "
                     "reserved to repro.dnscore; use Name(...) or "
                     "Name.from_text(...)",
                 )

@@ -7,22 +7,37 @@ section 3.1, including compression pointers) codecs.
 Names are case-preserving but compare and hash case-insensitively, which
 matches resolver behaviour (RFC 4343).
 
-A :class:`Name` caches three derived values on first use: the
-lower-cased label tuple (``_key_cache``, the comparison key that the wire
-writer also slices for its compression table; the label tuple itself
-when it is already lower-case), its ``hash`` and the presentation text
-(``_text``). None of them crosses a pickle boundary.
+Names are hash-consed: every way of making one (``Name(...)``,
+:meth:`Name.from_text`, :meth:`Name._unchecked`, :meth:`Name.parent`,
+the wire reader and unpickling) returns the one object held for its exact
+label tuple in a module intern table. Names that differ only in case are
+distinct objects that compare equal. Each name computes its lower-cased
+label tuple (``_key_cache``, the comparison key that the wire writer also
+slices for its compression table; the label tuple itself when it is
+already lower-case) when it is interned, and caches its ``hash``, its
+presentation text and its :meth:`~Name.parent` on first use, so a dict
+lookup or ``==`` on a name that came from the table is an identity hit.
+
+The intern table holds at most ``_INTERN_MAX`` names and is emptied when
+full. Names made before a clear stay valid and equal to the ones made
+after it: equality and hashing use the key, never identity, so a clear
+costs only speed. A name pickles as its labels alone and is re-interned
+on unpickle, so the hash cache never crosses an interpreter boundary (a
+different ``PYTHONHASHSEED`` would make it stale). Pickles written
+before interning carry a ``(labels,)`` state, which ``__setstate__``
+still loads into an equal, un-interned name.
 
 Every public constructor validates the 63/255-octet limits. The one
 unchecked constructor, :meth:`Name._unchecked`, is for code inside
 ``repro.dnscore`` whose labels are already known to be valid: a slice of
 a valid name, or labels the wire reader has bounds-checked itself. The
-``NAME01`` codelint rule keeps it inside this package.
+``NAME01`` codelint rule keeps it, and any other way around the intern
+table, inside this package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
@@ -72,28 +87,44 @@ class Name:
     only as intermediate values for :meth:`relativize` output.
     """
 
-    __slots__ = ("_labels", "_hash", "_key_cache", "_text")
+    __slots__ = ("_labels", "_key_cache", "_hash", "_text", "_parent")
 
-    def __init__(self, labels: Iterable[bytes]):
+    def __new__(cls, labels: Optional[Iterable[bytes]] = None) -> "Name":
+        if labels is None:
+            # Only the unpickler of a pre-interning pickle calls this
+            # without labels; __setstate__ fills the blank in.
+            return object.__new__(cls)
         labels = tuple(map(bytes, labels))
-        _validate_labels(labels)
-        self._labels = labels
-        self._hash: Optional[int] = None
-        self._key_cache: Optional[Tuple[bytes, ...]] = None
-        self._text: Optional[str] = None
+        name = _INTERNED.get(labels)
+        if name is None:
+            _validate_labels(labels)
+            name = _intern(labels)
+        return name
 
     @classmethod
     def _unchecked(cls, labels: Tuple[bytes, ...], key: Optional[Tuple[bytes, ...]] = None) -> "Name":
-        """Build a name from a tuple of ``bytes`` labels without validating
-        it. Only for callers inside ``repro.dnscore`` that already hold
-        the 63/255-octet and no-empty-inner-label guarantees (``NAME01``);
-        *key*, when given, must be the lower-cased *labels*."""
-        name = cls.__new__(cls)
-        name._labels = labels
-        name._hash = None
-        name._key_cache = key
-        name._text = None
+        """The interned name for a tuple of ``bytes`` labels, without
+        validating it. Only for callers inside ``repro.dnscore`` that
+        already hold the 63/255-octet and no-empty-inner-label guarantees
+        (``NAME01``); *key*, when given, must be the lower-cased
+        *labels*."""
+        name = _INTERNED.get(labels)
+        if name is None:
+            name = _intern(labels, key)
         return name
+
+    def _fill(self, labels: Tuple[bytes, ...], key: Optional[Tuple[bytes, ...]]) -> None:
+        if key is None:
+            joined = b"".join(labels)
+            if joined.lower() == joined:
+                key = labels  # already lower-case: no second tuple
+            else:
+                key = tuple(map(bytes.lower, labels))
+        self._labels = labels
+        self._key_cache = key
+        self._hash: Optional[int] = None
+        self._text: Optional[str] = None
+        self._parent: Optional[Name] = None
 
     # -- constructors ----------------------------------------------------
 
@@ -173,24 +204,12 @@ class Name:
     def __iter__(self) -> Iterator[bytes]:
         return iter(self._labels)
 
-    def _key(self) -> Tuple[bytes, ...]:
-        key = self._key_cache
-        if key is None:
-            labels = self._labels
-            joined = b"".join(labels)
-            if joined.lower() == joined:
-                key = labels  # already lower-case: no second tuple
-            else:
-                key = tuple(map(bytes.lower, labels))
-            self._key_cache = key
-        return key
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Name):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key_cache == other._key_cache
 
     def __lt__(self, other: "Name") -> bool:
         # Canonical DNS ordering (RFC 4034 section 6.1): compare label
@@ -202,25 +221,26 @@ class Name:
         return tuple(reversed(labels))
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._key_cache)
+        return value
 
-    def __getstate__(self):
+    def __reduce__(self):
         # Only the labels cross a pickle boundary, never the caches (hash,
-        # key, text): the cached hash bakes in this interpreter's str-hash
-        # seed, and a Name unpickled into another interpreter would keep
-        # answering with the stale value, silently missing in every dict
-        # keyed by freshly constructed Names. Wrapped in a 1-tuple so the
-        # state is truthy even for an empty relative name (pickle skips
-        # __setstate__ entirely on a falsy state).
-        return (self._labels,)
+        # key, text, parent): the cached hash bakes in this interpreter's
+        # str-hash seed, and a Name unpickled into another interpreter
+        # would keep answering with the stale value, silently missing in
+        # every dict keyed by freshly constructed Names. Unpickling
+        # returns that interpreter's interned name.
+        return (_unpickle, (self._labels,))
 
     def __setstate__(self, state) -> None:
-        (self._labels,) = state  # validated when first constructed
-        self._hash = None
-        self._key_cache = None
-        self._text = None
+        # Pickles written before interning: a blank from Name.__new__
+        # and a (labels,) state. The result equals the interned name but
+        # is not it.
+        (labels,) = state  # validated when first constructed
+        self._fill(labels, None)
 
     def __repr__(self) -> str:
         return f"Name({self.to_text()!r})"
@@ -259,16 +279,23 @@ class Name:
 
         Raises :class:`NameError_` on the root name.
         """
-        if self._labels == (b"",):
-            raise NameError_("the root name has no parent")
-        key = self._key_cache
-        return Name._unchecked(self._labels[1:], None if key is None else key[1:])
+        parent = self._parent
+        if parent is None:
+            labels = self._labels
+            if labels == (b"",):
+                raise NameError_("the root name has no parent")
+            key = self._key_cache
+            parent_labels = labels[1:]
+            parent = self._parent = Name._unchecked(
+                parent_labels, parent_labels if key is labels else key[1:]
+            )
+        return parent
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if *self* is equal to or underneath *other*."""
         if len(other._labels) > len(self._labels):
             return False
-        return self._key()[-len(other._labels):] == other._key()
+        return self._key_cache[-len(other._labels):] == other._key_cache
 
     def prepend(self, label: str) -> "Name":
         """Return a new name with *label* prepended (e.g. ``www``)."""
@@ -291,7 +318,30 @@ class Name:
         return bytes(out)
 
 
-_FROM_TEXT_CACHE: dict = {}
+# exact label tuple -> the one Name for it (emptied when full).
+_INTERNED: Dict[Tuple[bytes, ...], Name] = {}
+_INTERN_MAX = 400_000
+
+
+def _intern(labels: Tuple[bytes, ...], key: Optional[Tuple[bytes, ...]] = None) -> Name:
+    name = object.__new__(Name)
+    name._fill(labels, key)
+    if len(_INTERNED) >= _INTERN_MAX:
+        _INTERNED.clear()
+    _INTERNED[labels] = name
+    return name
+
+
+def _unpickle(labels: Tuple[bytes, ...]) -> Name:
+    # Validated when first constructed, like every label tuple this
+    # program pickles.
+    name = _INTERNED.get(labels)
+    if name is None:
+        name = _intern(labels)
+    return name
+
+
+_FROM_TEXT_CACHE: Dict[str, Name] = {}
 
 # Octets a label may hold unescaped in presentation format, and the
 # presentation form of every octet.

@@ -88,6 +88,11 @@ class RecursiveResolver:
         self.max_retries = max_retries
         self._cache: Dict[Tuple[Name, int], _CacheEntry] = {}
         self._delegation_cache: Dict[Name, Tuple[float, List[str]]] = {}
+        # qname -> first octet of its server-selection digest, for the
+        # day in _selection_day only (the digest is a pure function of
+        # resolver, qname and day).
+        self._selection_day: Optional[int] = None
+        self._selection_octets: Dict[Name, int] = {}
         self._msg_id = 0
         # Fault-path counters (rolled into RunStats; excluded from
         # dataset equality like the query counters).
@@ -248,10 +253,15 @@ class RecursiveResolver:
         if len(candidates) <= 1:
             return list(candidates)
         day = int(self._now() // 86400)
-        digest = hashlib.sha256(
-            f"{self.name}|{qname.to_text().lower()}|{day}".encode()
-        ).digest()
-        start = digest[0] % len(candidates)
+        if day != self._selection_day:
+            self._selection_day = day
+            self._selection_octets = {}
+        octet = self._selection_octets.get(qname)
+        if octet is None:
+            octet = self._selection_octets[qname] = hashlib.sha256(
+                f"{self.name}|{qname.to_text().lower()}|{day}".encode()
+            ).digest()[0]
+        start = octet % len(candidates)
         return candidates[start:] + candidates[:start]
 
     def _iterate(self, name: Name, rdtype: int, depth: int = 0) -> Message:

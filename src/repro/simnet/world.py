@@ -36,7 +36,6 @@ path warm.
 from __future__ import annotations
 
 import datetime
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..gcutils import paused_gc
@@ -61,10 +60,6 @@ from .config import SimConfig
 from .providers import PROVIDERS, ProviderSpec
 
 _LONG_VALIDITY = 420 * 86400  # root/TLD signatures cover the whole study
-
-# Synthesized-DS entries kept per TLD zone (LRU: hot delegations survive
-# eviction; entries are keyed per day, so a long campaign cycles them).
-_DS_CACHE_CAPACITY = 50_000
 
 ECH_PUBLIC_NAME = "cloudflare-ech.com"
 
@@ -99,7 +94,10 @@ class DynamicTldZone(Zone):
     def __init__(self, world: "World", apex: Name):
         super().__init__(apex, default_ttl=300)
         self.world = world
-        self._ds_cache: "OrderedDict[Tuple[Name, int], Tuple[Optional[RRset], List[RRSIGRdata]]]" = OrderedDict()
+        # Synthesized DS RRsets and their RRSIGs for one simulated day
+        # (signatures carry a per-day inception); a new day replaces them.
+        self._ds_day: Optional[int] = None
+        self._ds_cache: Dict[Name, Tuple[Optional[RRset], List[RRSIGRdata]]] = {}
 
     # -- answer-cache freshness ----------------------------------------------
     #
@@ -223,10 +221,12 @@ class DynamicTldZone(Zone):
             # while the fault is active (checked before the per-day
             # cache so the suppressed answer is never memoized).
             return None, []
-        cache_key = (child, timeline.day_index(date))
-        cached = self._ds_cache.get(cache_key)
+        day = timeline.day_index(date)
+        if day != self._ds_day:
+            self._ds_day = day
+            self._ds_cache = {}
+        cached = self._ds_cache.get(child)
         if cached is not None:
-            self._ds_cache.move_to_end(cache_key)
             return cached
         keyset = ZoneKeySet(child)
         rrset = RRset(child, rdtypes.DS, self.default_ttl, [keyset.ksk.ds_record(child)])
@@ -234,9 +234,7 @@ class DynamicTldZone(Zone):
         if self.keyset is not None:
             inception = timeline.epoch_seconds(date) - 3600
             sigs = [sign_rrset(rrset, self.apex, self.keyset.zsk, inception)]
-        self._ds_cache[cache_key] = (rrset, sigs)
-        while len(self._ds_cache) > _DS_CACHE_CAPACITY:
-            self._ds_cache.popitem(last=False)
+        self._ds_cache[child] = (rrset, sigs)
         return rrset, sigs
 
     def has_name(self, name: Name) -> bool:
@@ -312,6 +310,9 @@ class World:
             make_profile(self.config, i) for i in range(self.config.population)
         ]
         self._by_apex: Dict[Name, DomainProfile] = {p.apex: p for p in self.profiles}
+        # name -> profile_of(name). The registry is fixed at build time,
+        # so the memo lives as long as the world, across resets.
+        self._profile_of: Dict[Name, Optional[DomainProfile]] = {}
 
         self.current_date: datetime.date = timeline.STUDY_START
         self.current_hour: float = 0.0
@@ -355,8 +356,10 @@ class World:
         answer fast path comes back armed.
 
         What is a pure function of its key is kept: the TLD DS cache
-        (keyed per day), the ECH key-generation table, and the answer
-        fast path. Zone bodies are keyed by
+        (one day's entries, replaced on the next day), the
+        ``profile_of``/``tld_zone_containing`` memos (the registries are
+        fixed at build time), the ECH key-generation table, and the
+        answer fast path. Zone bodies are keyed by
         :func:`~repro.simnet.domains.zone_body_fingerprint` and rolled
         to whatever date the next run asks for; rendered answers live as
         long as those bodies and are scoped to the fault schedule they
@@ -455,6 +458,9 @@ class World:
             )
             zone.sign(now, expiration=expiration)
             self.tld_zones[apex] = zone
+        # name -> tld_zone_containing(name), for as long as the world
+        # lives: the TLD zones are fixed from here on.
+        self._tld_zone_of: Dict[Name, Optional[DynamicTldZone]] = {}
 
         # Root zone.
         root = Zone(Name.root(), default_ttl=300)
@@ -655,13 +661,19 @@ class World:
 
     def profile_of(self, name: Name) -> Optional[DomainProfile]:
         """The domain profile owning *name* (itself or an ancestor)."""
+        try:
+            return self._profile_of[name]
+        except KeyError:
+            pass
+        profile = None
         probe = name
         while probe.split_depth() >= 2:
             profile = self._by_apex.get(probe)
             if profile is not None:
-                return profile
+                break
             probe = probe.parent()
-        return None
+        self._profile_of[name] = profile
+        return profile
 
     def profile_by_name(self, text: str) -> Optional[DomainProfile]:
         return self._by_apex.get(Name.from_text(text if text.endswith(".") else text + "."))
@@ -681,10 +693,15 @@ class World:
         return self._glue.get(name)
 
     def tld_zone_containing(self, name: Name) -> Optional[DynamicTldZone]:
-        if name.split_depth() < 1:
-            return None
-        tld_apex = Name((name.labels[-2], b""))
-        return self.tld_zones.get(tld_apex)
+        try:
+            return self._tld_zone_of[name]
+        except KeyError:
+            pass
+        zone = None
+        if name.split_depth() >= 1:
+            zone = self.tld_zones.get(Name((name.labels[-2], b"")))
+        self._tld_zone_of[name] = zone
+        return zone
 
     def authoritative_zone_for(self, name: Name) -> Optional[Zone]:
         """God's-eye: the zone authoritative for *name* today."""

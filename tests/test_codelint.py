@@ -111,6 +111,12 @@ class TestFixturePairs:
         assert len(findings) == 4
         assert all("environment read" in f.message for f in findings)
 
+    def test_name01_flags_every_intern_table_bypass(self):
+        findings = lint_fixture("name", "bad_bypass_intern_table.py")
+        # object.__new__ on Name and names.Name, Name.__new__ called and aliased
+        assert len(findings) == 4
+        assert all("intern table" in f.message for f in findings)
+
     def test_hash01_flags_both_shapes(self):
         findings = lint_fixture("hash_cached", "bad_pickled_cache.py")
         messages = " / ".join(f.message for f in findings)
@@ -239,11 +245,12 @@ class TestMutations:
         names_py = os.path.join(SRC, "repro", "dnscore", "names.py")
         with open(names_py) as handle:
             source = handle.read()
-        # PR 4's fix was the __getstate__/__setstate__ pair; deleting it
-        # restores default pickling of the cached hash.
+        # PR 4's fix was a pickle hook that ships the labels alone, now
+        # __reduce__; deleting it restores default pickling of the
+        # cached hash.
         mutated = re.sub(
-            r"    def __getstate__.*?    def __repr__",
-            "    def __repr__",
+            r"    def __reduce__.*?    def __setstate__",
+            "    def __setstate__",
             source,
             flags=re.DOTALL,
         )

@@ -69,34 +69,68 @@ class TestParsing:
         assert len(name.labels[0]) == 63
 
 
+def _run_with_hash_seed(seed: int, code: str, stdin: bytes) -> bytes:
+    """Run *code* in a fresh interpreter with ``PYTHONHASHSEED=seed``,
+    feeding it *stdin*; return its stdout."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+# Written by the pre-interning Name (pickle protocol 5): NEWOBJ on the
+# class, then BUILD with a ``(labels,)`` state.
+_OLD_FORMAT_MIXED_CASE = (
+    b"\x80\x05\x95;\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.dnscore.names\x94"
+    b"\x8c\x04Name\x94\x93\x94)\x81\x94C\x03Old\x94C\x07Example\x94C\x00\x94"
+    b"\x87\x94\x85\x94b."
+)
+_OLD_FORMAT_EMPTY = (
+    b"\x80\x05\x95'\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.dnscore.names\x94"
+    b"\x8c\x04Name\x94\x93\x94)\x81\x94)\x85\x94b."
+)
+
+
 class TestPickling:
     """Regression: Name used to pickle its cached hash, which bakes in
     the writing interpreter's str-hash seed — a world snapshot loaded by
     a *resumed* collection (a fresh interpreter, new seed) then missed
-    every dict lookup keyed by freshly constructed Names."""
+    every dict lookup keyed by freshly constructed Names. Names now
+    pickle as their labels and are re-interned on unpickle."""
 
     def test_hash_and_key_caches_never_cross_a_pickle_boundary(self):
         import pickle
 
         name = Name.from_text("Example.COM.")
-        hash(name)  # populate the hash and key caches
-        name.to_text()  # and the text cache
-        assert name._hash is not None and name._key_cache is not None
-        assert name._text == "Example.COM."
+        hash(name)  # populate the hash cache
+        name.to_text()  # the text cache
+        name.parent()  # and the parent cache
+        assert name.__reduce__()[1] == (name.labels,)  # the labels alone
         clone = pickle.loads(pickle.dumps(name))
-        assert clone._hash is None and clone._key_cache is None and clone._text is None
-        assert clone == name and hash(clone) == hash(name)
-        assert clone.to_text() == name.to_text()  # case preserved
+        assert clone is name  # re-interned, not a copy
+        assert clone.to_text() == "Example.COM."  # case preserved
+        lower = Name.from_text("example.com.")
+        assert pickle.loads(pickle.dumps(lower)) is lower
+        assert lower is not name and lower == name
 
     def test_lower_case_key_is_the_label_tuple(self):
         import pickle
 
         lower = Name.from_text("www.example.com.")
-        assert lower._key() is lower.labels
+        assert lower._key_cache is lower.labels
         mixed = Name.from_text("WWW.Example.com.")
-        assert mixed._key() == lower._key() and mixed._key() is not mixed.labels
-        clone = pickle.loads(pickle.dumps(lower))
-        assert clone._key_cache is None and clone == lower
+        assert mixed._key_cache == lower._key_cache and mixed._key_cache is not mixed.labels
+        assert pickle.loads(pickle.dumps(lower)) is lower
 
     def test_unpickled_name_hits_fresh_dicts(self):
         import pickle
@@ -105,14 +139,55 @@ class TestPickling:
         stale = pickle.loads(pickle.dumps(Name.from_text("a.example.")))
         assert table[stale] == 1
 
+    def test_unpickled_under_another_hash_seed_hits_fresh_dicts(self):
+        # The writer caches every hash before pickling; the reader runs
+        # under a different str-hash seed and looks the unpickled names
+        # up in a dict keyed by names it parsed itself.
+        texts = ["Example.COM.", "www.example.com.", "A.b.C.d.example.", "."]
+        writer = (
+            "import pickle, sys\n"
+            "from repro.dnscore.names import Name\n"
+            "names = [Name.from_text(t) for t in sys.stdin.read().split()]\n"
+            "for name in names:\n"
+            "    hash(name)\n"
+            "    hash(name.parent()) if name.labels != (b'',) else None\n"
+            "sys.stdout.buffer.write(pickle.dumps(names))\n"
+        )
+        reader = (
+            "import pickle, sys\n"
+            "from repro.dnscore.names import Name\n"
+            f"texts = {texts!r}\n"
+            "fresh = {Name.from_text(t.lower()): t for t in texts}\n"
+            "names = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert [fresh[n] for n in names] == texts\n"
+            "assert [n.to_text() for n in names] == texts\n"
+            "assert all(n is Name.from_text(t) for n, t in zip(names, texts))\n"
+            "print('ok')\n"
+        )
+        blob = _run_with_hash_seed(1, writer, " ".join(texts).encode())
+        assert _run_with_hash_seed(2, reader, blob).strip() == b"ok"
+
+    def test_old_format_state_still_loads(self):
+        import pickle
+
+        old = pickle.loads(_OLD_FORMAT_MIXED_CASE)
+        current = Name.from_text("Old.Example.")
+        assert old.labels == current.labels and old.to_text() == "Old.Example."
+        assert old == current and hash(old) == hash(current)
+        assert {Name.from_text("old.example."): 1}[old] == 1
+        assert old.parent() is Name.from_text("Example.")
+        # Re-pickling writes the current format, which re-interns.
+        assert pickle.loads(pickle.dumps(old)) is current
+
     def test_empty_relative_name_round_trips(self):
-        # A falsy __getstate__ would make pickle skip __setstate__
-        # entirely, leaving the unpickled object with no slots assigned.
         import pickle
 
         empty = Name(())
-        clone = pickle.loads(pickle.dumps(empty))
-        assert clone == empty and clone.labels == ()
+        assert pickle.loads(pickle.dumps(empty)) is empty
+        # The old format wrapped the state in a 1-tuple so it stayed
+        # truthy (pickle skips __setstate__ on a falsy state).
+        old = pickle.loads(_OLD_FORMAT_EMPTY)
+        assert old == empty and old.labels == ()
 
 
 class TestTextRendering:

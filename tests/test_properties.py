@@ -111,6 +111,107 @@ def test_compression_round_trip_many_names(name_list):
         assert reader.read_name() == name
 
 
+# -- name interning (hash-consing) ----------------------------------------------
+
+mixed_label_st = st.text(
+    alphabet=string.ascii_letters + string.digits + "-_", min_size=1, max_size=63
+).map(str.encode)
+
+
+@st.composite
+def mixed_case_labels(draw):
+    """An absolute label tuple within the 63-octet label and 255-octet
+    name limits."""
+    labels = draw(st.lists(mixed_label_st, max_size=8))
+    while sum(len(label) + 1 for label in labels) + 1 > 255:
+        labels.pop()
+    return tuple(labels) + (b"",)
+
+
+def _flip_case(labels, mask):
+    """*labels* with the case of each letter whose bit in *mask* is set
+    flipped (bits counted over the concatenated labels)."""
+    out, bit = [], 0
+    for label in labels:
+        flipped = bytearray(label)
+        for i, octet in enumerate(flipped):
+            if chr(octet).isalpha() and mask >> bit & 1:
+                flipped[i] = octet ^ 0x20
+            bit += 1
+        out.append(bytes(flipped))
+    return tuple(out)
+
+
+@st.composite
+def label_tuple_pairs(draw):
+    """Two label tuples: a case variant of each other, or unrelated."""
+    a = draw(mixed_case_labels())
+    if draw(st.booleans()):
+        return a, _flip_case(a, draw(st.integers(min_value=0, max_value=2**255)))
+    return a, draw(mixed_case_labels())
+
+
+def _lower(labels):
+    return tuple(label.lower() for label in labels)
+
+
+@given(mixed_case_labels())
+def test_name_is_one_object_per_label_tuple(labels):
+    name = Name(labels)
+    assert Name(labels) is name
+    assert Name(list(labels)) is name
+    assert Name.from_text(name.to_text()) is name
+
+
+@given(label_tuple_pairs())
+def test_name_equality_is_lower_case_key_equality(pair):
+    a, b = Name(pair[0]), Name(pair[1])
+    assert (a == b) == (_lower(pair[0]) == _lower(pair[1]))
+    assert (a is b) == (pair[0] == pair[1])  # case is preserved
+    if a == b:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+@given(mixed_case_labels())
+def test_parent_is_the_interned_parent(labels):
+    name = Name(labels)
+    if labels == (b"",):
+        return
+    assert name.parent() is Name(labels[1:])
+    assert name.parent() is name.parent()
+
+
+@given(mixed_case_labels(), mixed_case_labels())
+def test_wire_round_trip_returns_the_interned_name(first, second):
+    writer = WireWriter()
+    writer.write_name(Name(first))
+    writer.write_name(Name(second))  # may compress against *first*
+    reader = WireReader(writer.getvalue())
+    assert reader.read_name() is Name(first)
+    assert reader.read_name() is Name(second)
+
+
+def test_emptied_intern_table_keeps_equality_hash_and_dict_hits(monkeypatch):
+    from repro.dnscore import names as names_mod
+
+    # A private two-entry table, emptied when full exactly as the real
+    # one is; the module's own table comes back after the test.
+    monkeypatch.setattr(names_mod, "_INTERNED", {})
+    monkeypatch.setattr(names_mod, "_INTERN_MAX", 2)
+    labels = (b"Www", b"Example", b"com", b"")
+    before = Name(labels)
+    table = {before: "before", before.parent(): "parent"}
+    Name((b"filler", b"")), Name((b"more", b""))  # fills and empties the table
+    after = Name(labels)
+    assert after is not before
+    assert after == before and hash(after) == hash(before)
+    assert table[after] == "before" and table[after.parent()] == "parent"
+    assert {after: 1}[before] == 1
+    lower = Name(_lower(labels))
+    assert lower == before and hash(lower) == hash(before) and table[lower] == "before"
+
+
 # -- SvcParams properties -------------------------------------------------------
 
 @given(svcparams())

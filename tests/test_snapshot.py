@@ -29,7 +29,6 @@ from repro.simnet import (
     world_tag,
 )
 from repro.simnet import snapshot as snapshot_mod
-from repro.simnet import world as world_mod
 from repro.study import ExecutionPlan, Study, StudySpec
 
 POPULATION = 150
@@ -281,44 +280,52 @@ class TestSignatureMemo:
 
 
 # ---------------------------------------------------------------------------
-# TLD DS-cache LRU (formerly clear-everything-at-50k)
+# TLD DS cache: one simulated day at a time
 # ---------------------------------------------------------------------------
 
 
-class TestDsCacheLru:
-    def test_eviction_is_lru_not_wholesale(self, monkeypatch):
-        """Entries are keyed per (delegation, day); over capacity, the
-        least-recently-used one is dropped — the old policy cleared the
-        whole cache, evicting hot delegations with the cold."""
-        monkeypatch.setattr(world_mod, "_DS_CACHE_CAPACITY", 2)
-        world = World(SimConfig(population=150))
-        secure = [
-            p for p in world.profiles
-            if p.dnssec_signed and p.ds_uploaded and p.dnssec_sign_day < 0
-        ]
-        assert secure, "population must include secure delegations"
-        profile = secure[0]
-        tld = world.tld_zone_containing(profile.apex)
-        days = [timeline.STUDY_START + datetime.timedelta(days=i) for i in range(3)]
-        keys = [(profile.apex, timeline.day_index(day)) for day in days]
+def _ds_bytes(entry):
+    rrset, sigs = entry
+    return (
+        rrset.name.to_wire(),
+        rrset.ttl,
+        [rdata.wire_bytes() for rdata in rrset],
+        [sig.wire_bytes() for sig in sigs],
+    )
+
+
+class TestDsCache:
+    def test_day_change_keeps_only_that_days_entries(self):
+        """A new day replaces the cache; each day's DS RRsets and RRSIGs
+        equal a freshly built world's, byte for byte."""
+        config = SimConfig(population=150)
+        world = World(config)
+        by_tld = {}
+        for p in world.profiles:
+            if p.dnssec_signed and p.ds_uploaded and p.dnssec_sign_day < 0:
+                by_tld.setdefault(p.apex.labels[-2], []).append(p.apex)
+        first, second = next(apexes for apexes in by_tld.values() if len(apexes) >= 2)[:2]
+        tld = world.tld_zone_containing(first)
+        days = [timeline.STUDY_START + datetime.timedelta(days=i) for i in range(2)]
 
         world.set_time(days[0])
-        assert tld.ds_with_sigs(profile.apex)[0] is not None
+        day0 = _ds_bytes(tld.ds_with_sigs(first))
+        tld.ds_with_sigs(second)
+        assert set(tld._ds_cache) == {first, second}
         world.set_time(days[1])
-        tld.ds_with_sigs(profile.apex)
-        # Rewind (the cache deliberately survives a reset — its entries
-        # are pure functions of config and day) and touch day 0 so day 1
-        # becomes the LRU victim.
+        day1 = _ds_bytes(tld.ds_with_sigs(first))
+        assert set(tld._ds_cache) == {first}
+        # A reset rewinds the clock; revisiting day 0 keeps day 0 only.
         world.reset()
         world.set_time(days[0])
-        tld.ds_with_sigs(profile.apex)
-        world.set_time(days[2])
-        tld.ds_with_sigs(profile.apex)
+        assert _ds_bytes(tld.ds_with_sigs(first)) == day0
+        assert set(tld._ds_cache) == {first}
+        assert day0 != day1, "DS signatures carry a per-day inception"
 
-        assert len(tld._ds_cache) == 2
-        assert keys[0] in tld._ds_cache, "hot entry must survive eviction"
-        assert keys[1] not in tld._ds_cache, "LRU victim is the cold entry"
-        assert keys[2] in tld._ds_cache
+        for day, expected in zip(days, (day0, day1)):
+            fresh = World(config)
+            fresh.set_time(day)
+            assert _ds_bytes(fresh.tld_zone_containing(first).ds_with_sigs(first)) == expected
 
     def test_repeat_lookup_hits_cache(self):
         world = World(SimConfig(population=150))
