@@ -17,11 +17,10 @@ octets it decoded whenever those are already the canonical form.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from typing import Dict, List, Tuple, Type
 
-from ..svcb.params import SvcParamError, SvcParams
+from ..svcb.params import SvcParamError, SvcParams, ipv4_packed, ipv4_text, ipv6_address
 from . import rdtypes
 from .names import Name
 from .wire import WireError, WireReader, WireWriter
@@ -105,11 +104,10 @@ class ARdata(_NameFreeRdata):
     rdtype = rdtypes.A
 
     def __init__(self, address: str):
-        self.address = str(ipaddress.IPv4Address(address))
+        self.address = ipv4_text(address)
 
     def to_wire(self, writer: WireWriter) -> None:
-        # self.address is already in canonical dotted-quad form.
-        writer.write_bytes(bytes(map(int, self.address.split("."))))
+        writer.write_bytes(ipv4_packed(self.address))
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "ARdata":
@@ -132,10 +130,10 @@ class AAAARdata(_NameFreeRdata):
     rdtype = rdtypes.AAAA
 
     def __init__(self, address: str):
-        self.address = str(ipaddress.IPv6Address(address))
+        self.address = ipv6_address(address)[0]
 
     def to_wire(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
+        writer.write_bytes(ipv6_address(self.address)[1])
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAARdata":
@@ -143,7 +141,7 @@ class AAAARdata(_NameFreeRdata):
             raise RdataError(f"AAAA rdata must be 16 octets, got {rdlength}")
         packed = reader.read_bytes(16)
         rdata = cls.__new__(cls)
-        rdata.address = str(ipaddress.IPv6Address(packed))
+        rdata.address = ipv6_address(packed)[0]
         return rdata
 
     def to_text(self) -> str:

@@ -1,10 +1,13 @@
 """RRset signing: building RRSIG records (RFC 4034 section 3).
 
 Signature computation is memoised process-wide: the simulated world
-re-signs byte-identical RRsets constantly — every ``_zone_cache``
-eviction rebuilds and re-signs whole domain zones whose non-HTTPS
-records did not change, and hourly ECH rescans do that up to 24 times
-per day — so :func:`sign_rrset` consults a bounded LRU keyed by the
+re-signs byte-identical RRsets often — a zone rebuilt because one input
+changed re-signs every RRset the change left alone, and a reused zone
+body re-signs all of its RRsets when the day (and so the SOA serial and
+the inception) rolls. (An hourly ECH key rotation re-signs only the
+swapped HTTPS RRsets of a stored body; see
+:meth:`~repro.simnet.world.World.zone_of`.) So :func:`sign_rrset`
+consults a bounded LRU keyed by the
 RFC 4034 signing input (whose digest covers the key tag, signer name,
 and the inception/expiration window) plus the signing key's material.
 A hit returns the exact bytes the signer would have produced (the

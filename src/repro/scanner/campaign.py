@@ -43,7 +43,9 @@ class RunStats:
     The answer fast-path counters report what the world's layered caches
     saved: rendered-answer hits/misses (tier 1) and decoded-template hits
     (tier 3), both 0 outside wire mode, and zone builds vs zone-body
-    reuses (tier 2). Every world is built with the fast path armed; a
+    reuses (tier 2). A stored body whose HTTPS RRsets were swapped
+    (an ECH key rotation or ALPN change) counts as a reuse, not a
+    build. Every world is built with the fast path armed; a
     world that a test or bench disarmed reports 0 hits and reuses. The
     pipeline sums per-worker stats into the merged run summary;
     sequential runs record their single world's counters.

@@ -434,6 +434,31 @@ def _zone_inputs(
     )
 
 
+def https_rrsets(
+    profile: DomainProfile,
+    config: SimConfig,
+    inputs: _ZoneInputs,
+    overlay: Optional[object] = None,
+) -> List[RRset]:
+    """The zone's HTTPS RRsets built from *inputs* (a
+    :func:`zone_body_fingerprint`): the apex's, then the www name's,
+    each only where that owner publishes one.
+
+    :func:`build_zone` adds these, and the world's tier-2 reuse swaps
+    them into a stored body after an :func:`https_only_change`, so a
+    patched body and a fresh build carry the same records."""
+    if not inputs.has_https:
+        return []
+    rrsets = []
+    if not profile.www_only:
+        rdatas = _https_rdatas(profile, config, inputs, False, overlay)
+        rrsets.append(RRset(profile.apex, rdtypes.HTTPS, config.default_ttl, rdatas))
+    if profile.www_has_record:
+        rdatas = _https_rdatas(profile, config, inputs, True, overlay)
+        rrsets.append(RRset(profile.www, rdtypes.HTTPS, config.default_ttl, rdatas))
+    return rrsets
+
+
 def build_zone(
     profile: DomainProfile,
     config: SimConfig,
@@ -468,22 +493,21 @@ def build_zone(
 
     # The apex and www share one (immutable) A and AAAA rdata each.
     a_rdata, aaaa_rdata = ARdata(inputs.addresses[0]), AAAARdata(inputs.addresses[1])
+    https = {rrset.name: rrset for rrset in https_rrsets(profile, config, inputs, overlay)}
     if profile.www_only and profile.adopter:
         # Misconfigured apex CNAME → www; HTTPS lives on the www name.
         zone.add_rrset(RRset(apex, rdtypes.CNAME, config.default_ttl, [CNAMERdata(www)]))
     else:
         zone.add_rrset(RRset(apex, rdtypes.A, config.default_ttl, [a_rdata]))
         zone.add_rrset(RRset(apex, rdtypes.AAAA, config.default_ttl, [aaaa_rdata]))
-        if inputs.has_https and not profile.www_only:
-            rdatas = _https_rdatas(profile, config, inputs, False, overlay)
-            zone.add_rrset(RRset(apex, rdtypes.HTTPS, config.default_ttl, rdatas))
+        if apex in https:
+            zone.add_rrset(https[apex])
 
     # www branch.
     zone.add_rrset(RRset(www, rdtypes.A, config.default_ttl, [a_rdata]))
     zone.add_rrset(RRset(www, rdtypes.AAAA, config.default_ttl, [aaaa_rdata]))
-    if inputs.has_https and profile.www_has_record:
-        rdatas = _https_rdatas(profile, config, inputs, True, overlay)
-        zone.add_rrset(RRset(www, rdtypes.HTTPS, config.default_ttl, rdatas))
+    if www in https:
+        zone.add_rrset(https[www])
 
     if profile.provider_key == "selfhosted":
         ns_ip = ipspace.origin_v4(config.seed, profile.name, 7)
@@ -531,5 +555,35 @@ def zone_body_fingerprint(
     zone whose records ignore it.
     Static profile attributes (shapes, cohorts, seeds) need no entry:
     the fingerprint only ever compares one profile against itself.
+
+    Two fingerprints that differ only where :func:`https_only_change`
+    says give bodies that differ only in their HTTPS RRsets (and
+    those RRsets' signatures), so the reuse can swap in
+    :func:`https_rrsets` instead of rebuilding.
     """
     return _zone_inputs(profile, config, date, ech_wire)
+
+
+# The inputs that only the HTTPS RRsets read (_https_rdatas), and the
+# positions of the others in a fingerprint.
+_HTTPS_ONLY_INPUTS = ("cf_alpn", "ech_apex", "ech_www", "ech_wire")
+_SHARED_INPUTS = tuple(
+    index for index, field in enumerate(_ZoneInputs._fields) if field not in _HTTPS_ONLY_INPUTS
+)
+
+
+def https_only_change(stored: tuple, current: tuple) -> bool:
+    """Do two :func:`zone_body_fingerprint` values of one domain differ at
+    most in inputs that feed nothing but the HTTPS RRsets?
+
+    True when both sides publish HTTPS (so the same owners carry an
+    HTTPS RRset) and every other input is equal: the provider set,
+    the addresses (they also feed A/AAAA), and the DNSSEC state. An
+    hourly ECH key rotation or an ALPN date boundary is such a change.
+    A field added to the fingerprint later counts as a full change
+    unless ``_HTTPS_ONLY_INPUTS`` names it."""
+    return (
+        stored.has_https
+        and current.has_https
+        and all(stored[index] == current[index] for index in _SHARED_INPUTS)
+    )

@@ -19,6 +19,9 @@ answers; tier 3: decoded templates — see
 date-dependent inputs of its zone — is unchanged since the zone was
 last built, the built body is reused and only the SOA serial is rolled
 (plus a re-sign on date change) instead of rebuilding from scratch.
+When only inputs of the HTTPS RRsets changed (an hourly ECH key
+rotation, an ALPN date boundary), the body is patched: new HTTPS
+RRsets are swapped in and, within a day, only they are re-signed.
 A world is built armed: zone-body reuse in every mode, tiers 1 and 3
 in wire mode only. :meth:`World.set_answer_cache` ``(False)`` disarms
 it for a cache-off reference run; datasets and per-server query logs
@@ -60,6 +63,7 @@ from .config import SimConfig
 from .providers import PROVIDERS, ProviderSpec
 
 _LONG_VALIDITY = 420 * 86400  # root/TLD signatures cover the whole study
+_NS_RRSETS_MAX = 4  # delegation NS RRsets each TLD zone keeps (DynamicTldZone)
 
 ECH_PUBLIC_NAME = "cloudflare-ech.com"
 
@@ -98,6 +102,16 @@ class DynamicTldZone(Zone):
         # (signatures carry a per-day inception); a new day replaces them.
         self._ds_day: Optional[int] = None
         self._ds_cache: Dict[Name, Tuple[Optional[RRset], List[RRSIGRdata]]] = {}
+        # Referral RRsets are built once and handed out to every referral
+        # (RRsets and rdata are never mutated once built): each glue A
+        # RRset per (name, address) for the life of the world (the
+        # registry fixed at build bounds them), and a child's NS RRset
+        # per delegation facts (_delegation_facts) in a memo of
+        # _NS_RRSETS_MAX entries, emptied when full. A child's referrals
+        # come in bursts during its scan, so the bound keeps most hits
+        # without holding an RRset for each of a day's thousand children.
+        self._ns_rrsets: Dict[tuple, Optional[RRset]] = {}
+        self._glue_rrsets: Dict[Tuple[Name, str], RRset] = {}
 
     # -- answer-cache freshness ----------------------------------------------
     #
@@ -132,7 +146,7 @@ class DynamicTldZone(Zone):
         child = self._child_apex(name)
         if child is None:
             return None
-        return (child, tuple(self._delegation_ns_names(child)))
+        return self._delegation_facts(child)
 
     # -- dynamic lookups -----------------------------------------------------
 
@@ -153,27 +167,47 @@ class DynamicTldZone(Zone):
             return None
         # A domain in its no-NS phase has no delegation at all.
         if self.world.profile_of(child) is not None:
-            if not self._delegation_ns_names(child):
+            if self._ns_rrset(child) is None:
                 return None
         return child
 
-    def _delegation_ns_names(self, child: Name) -> List[Name]:
+    def _delegation_facts(self, child: Name) -> tuple:
+        """What *child*'s delegation is built from today: a domain's
+        provider keys, or nothing for an infra zone (its provider is
+        fixed)."""
         profile = self.world.profile_of(child)
-        if profile is not None:
-            keys = domains.current_provider_keys(
-                profile, self.world.config, self.world.current_date
-            )
-            names: List[Name] = []
+        if profile is None:
+            return (child, None)
+        keys = domains.current_provider_keys(profile, self.world.config, self.world.current_date)
+        return (child, tuple(keys))
+
+    def _ns_rrset(self, child: Name) -> Optional[RRset]:
+        """*child*'s delegation NS RRset today (None without name servers)."""
+        facts = self._delegation_facts(child)
+        try:
+            return self._ns_rrsets[facts]
+        except KeyError:
+            pass
+        keys = facts[1]
+        names: List[Name] = []
+        if keys is None:
+            provider = self.world.infra_provider_of(child)
+            if provider is not None:
+                names = provider.all_ns_hostnames()[:2]
+        else:
+            profile = self.world.profile_of(child)
             for key in keys:
                 if key == "selfhosted":
                     names.extend([child.prepend("ns1"), child.prepend("ns2")])
                 else:
                     names.extend(PROVIDERS[key].ns_hostnames(self.world.config.seed, profile.name))
-            return names
-        provider = self.world.infra_provider_of(child)
-        if provider is not None:
-            return provider.all_ns_hostnames()[:2]
-        return []
+        rrset = None
+        if names:
+            rrset = RRset(child, rdtypes.NS, self.default_ttl, [NSRdata(n) for n in names])
+        if len(self._ns_rrsets) >= _NS_RRSETS_MAX:
+            self._ns_rrsets.clear()
+        self._ns_rrsets[facts] = rrset
+        return rrset
 
     def get_rrset(self, name: Name, rdtype: int) -> Optional[RRset]:
         static = super().get_rrset(name, rdtype)
@@ -182,9 +216,7 @@ class DynamicTldZone(Zone):
         if rdtype == rdtypes.NS:
             child = self._child_apex(name)
             if child == name:
-                ns_names = self._delegation_ns_names(child)
-                if ns_names:
-                    return RRset(name, rdtypes.NS, self.default_ttl, [NSRdata(n) for n in ns_names])
+                return self._ns_rrset(child)
             return None
         if rdtype == rdtypes.DS:
             rrset, _sigs = self.ds_with_sigs(name)
@@ -192,7 +224,11 @@ class DynamicTldZone(Zone):
         if rdtype == rdtypes.A:
             ip = self.world.glue_ip_of(name)
             if ip is not None:
-                return RRset(name, rdtypes.A, self.default_ttl, [ARdata(ip)])
+                rrset = self._glue_rrsets.get((name, ip))
+                if rrset is None:
+                    rrset = RRset(name, rdtypes.A, self.default_ttl, [ARdata(ip)])
+                    self._glue_rrsets[(name, ip)] = rrset
+                return rrset
         return None
 
     def get_rrsigs(self, name: Name, rdtype: int) -> List[RRSIGRdata]:
@@ -356,10 +392,11 @@ class World:
         answer fast path comes back armed.
 
         What is a pure function of its key is kept: the TLD DS cache
-        (one day's entries, replaced on the next day), the
-        ``profile_of``/``tld_zone_containing`` memos (the registries are
-        fixed at build time), the ECH key-generation table, and the
-        answer fast path. Zone bodies are keyed by
+        (one day's entries, replaced on the next day), the TLD zones'
+        referral RRsets (keyed by their delegation facts or glue
+        address), the ``profile_of``/``tld_zone_containing`` memos (the
+        registries are fixed at build time), the ECH key-generation
+        table, and the answer fast path. Zone bodies are keyed by
         :func:`~repro.simnet.domains.zone_body_fingerprint` and rolled
         to whatever date the next run asks for; rendered answers live as
         long as those bodies and are scoped to the fault schedule they
@@ -738,9 +775,21 @@ class World:
         fingerprint holds exactly the values the build reads, so a date
         that changes none of them (e.g. an ALPN date boundary for a zone
         without a Cloudflare default record, a key rotation for a zone
-        publishing no ECH) reuses the body. Faulted builds (a live zone
-        overlay) are never stored or reused — their content is not a
-        pure function of the fingerprint."""
+        publishing no ECH) reuses the body.
+
+        When the fingerprint changed only in inputs of the HTTPS RRsets
+        (:func:`~repro.simnet.domains.https_only_change`: an ECH key
+        rotation, an ALPN list), the stored body is patched instead:
+        :func:`~repro.simnet.domains.https_rrsets` builds the new HTTPS
+        RRsets, :meth:`~repro.zones.zone.Zone.replace_rrsets` swaps them
+        in and re-signs just them, and a date change re-signs the whole
+        zone after the serial roll, as plain reuse does. A patch counts
+        as a ``zone_body_reuse``. The domain that doubles as an NS
+        suffix (cf-ns.com) is rebuilt instead, for the reason
+        :meth:`reset` drops its body.
+
+        Faulted builds (a live zone overlay) are never stored or reused
+        — their content is not a pure function of the fingerprint."""
         zone = self._zone_cache.get(profile.index)
         if zone is None:
             ech_wire = self.ech_manager.published_wire(self.absolute_hour())
@@ -757,16 +806,19 @@ class World:
                     profile, self.config, self.current_date, ech_wire
                 )
                 stored = self._zone_bodies.get(profile.index)
-                if stored is not None and stored[0] == fingerprint:
-                    zone = stored[1]
-                    serial = timeline.day_index(self.current_date) + 1
-                    if zone.soa is not None and zone.soa[0].serial != serial:
-                        zone.roll_soa_serial(serial)
-                        if zone.signed:
-                            zone.sign(timeline.epoch_seconds(self.current_date) - 3600)
-                    self.zone_body_reuses += 1
-                    self._zone_cache[profile.index] = zone
-                    return zone
+                if stored is not None:
+                    inputs, body = stored
+                    patch = inputs != fingerprint
+                    if not patch or (
+                        profile.apex not in self._infra_provider
+                        and domains.https_only_change(inputs, fingerprint)
+                    ):
+                        if patch:
+                            self._zone_bodies[profile.index] = (fingerprint, body)
+                        self._advance_body(profile, body, fingerprint if patch else None)
+                        self.zone_body_reuses += 1
+                        self._zone_cache[profile.index] = body
+                        return body
             zone = domains.build_zone(
                 profile, self.config, self.current_date, ech_wire, overlay=overlay
             )
@@ -781,6 +833,29 @@ class World:
                 self._zone_bodies[profile.index] = (fingerprint, zone)
             self._zone_cache[profile.index] = zone
         return zone
+
+    def _advance_body(
+        self, profile: DomainProfile, zone: Zone, patch: Optional[tuple]
+    ) -> None:
+        """Bring a stored body to the current instant.
+
+        *patch*, when given, is the body's new fingerprint after an
+        HTTPS-only change: its HTTPS RRsets are swapped in. A new day
+        rolls the SOA serial. A signed zone re-signs just the swapped
+        RRsets within a day, and everything when the serial rolls, as a
+        fresh build signs with the day's inception."""
+        serial = timeline.day_index(self.current_date) + 1
+        inception = timeline.epoch_seconds(self.current_date) - 3600
+        rolled = zone.soa is not None and zone.soa[0].serial != serial
+        if patch is not None:
+            zone.replace_rrsets(
+                domains.https_rrsets(profile, self.config, patch),
+                None if rolled else inception,
+            )
+        if rolled:
+            zone.roll_soa_serial(serial)
+            if zone.signed:
+                zone.sign(inception)
 
     # ------------------------------------------------------------------
     # Tranco

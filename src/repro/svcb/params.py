@@ -126,6 +126,65 @@ def _split_comma_list(text: str) -> List[str]:
     return items
 
 
+# Parsed addresses. A world builds and decodes the same few thousand
+# addresses for every A/AAAA rdata and IP hint, so each distinct value is
+# parsed once. An entry holds only what its key does not: IPv4 text ->
+# canonical text (the key itself when already canonical); IPv6 canonical
+# text -> packed octets, other IPv6 text -> (canonical text, packed
+# octets), and IPv6 packed octets -> canonical text. Bounded like
+# Name.from_text's memo: emptied when full, which costs only speed. The
+# dnscore rdata classes use it too.
+_ADDRESS_MEMO_MAX = 16_384
+_IPV4_MEMO: Dict[str, str] = {}
+_IPV6_MEMO: Dict[object, object] = {}
+
+
+def _remember(memo: Dict, key, entry) -> None:
+    if len(memo) >= _ADDRESS_MEMO_MAX:
+        memo.clear()
+    memo[key] = entry
+
+
+def ipv4_text(value) -> str:
+    """``str(ipaddress.IPv4Address(value))``, parsed once per distinct
+    text; raises what ``ipaddress`` raises."""
+    try:
+        return _IPV4_MEMO[value]
+    except (KeyError, TypeError):
+        pass
+    text = str(ipaddress.IPv4Address(value))
+    if type(value) is str:
+        _remember(_IPV4_MEMO, value, value if text == value else text)
+    return text
+
+
+def ipv4_packed(text: str) -> bytes:
+    """``ipaddress.IPv4Address(text).packed`` of a canonical text
+    (:func:`ipv4_text`): its four decimal octets."""
+    return bytes(map(int, text.split(".")))
+
+
+def ipv6_address(value) -> Tuple[str, bytes]:
+    """``(str(a), a.packed)`` of ``a = ipaddress.IPv6Address(value)``,
+    parsed once per distinct text or packed value; raises what
+    ``ipaddress`` raises."""
+    try:
+        entry = _IPV6_MEMO[value]
+    except (KeyError, TypeError):
+        address = ipaddress.IPv6Address(value)
+        text, packed = str(address), address.packed
+        if type(value) is str:
+            _remember(_IPV6_MEMO, value, packed if text == value else (text, packed))
+        elif type(value) is bytes:
+            _remember(_IPV6_MEMO, value, text)
+        return text, packed
+    if type(entry) is bytes:
+        return value, entry
+    if type(entry) is str:
+        return entry, value
+    return entry
+
+
 class Mandatory(SvcParam):
     """``mandatory``: keys the client must understand (RFC 9460 section 8)."""
 
@@ -264,9 +323,8 @@ class Ipv4Hint(SvcParam):
     def __init__(self, addresses: Sequence[str]):
         if not addresses:
             raise SvcParamError("ipv4hint must not be empty")
-        parsed = [ipaddress.IPv4Address(addr) for addr in addresses]
-        self.addresses = tuple(map(str, parsed))
-        self._packed = b"".join(addr.packed for addr in parsed)
+        self.addresses = tuple(map(ipv4_text, addresses))
+        self._packed = b"".join(map(ipv4_packed, self.addresses))
 
     def to_wire_value(self) -> bytes:
         return self._packed
@@ -299,9 +357,9 @@ class Ipv6Hint(SvcParam):
     def __init__(self, addresses: Sequence[str]):
         if not addresses:
             raise SvcParamError("ipv6hint must not be empty")
-        parsed = [ipaddress.IPv6Address(addr) for addr in addresses]
-        self.addresses = tuple(map(str, parsed))
-        self._packed = b"".join(addr.packed for addr in parsed)
+        parsed = [ipv6_address(addr) for addr in addresses]
+        self.addresses = tuple(text for text, _ in parsed)
+        self._packed = b"".join(packed for _, packed in parsed)
 
     def to_wire_value(self) -> bytes:
         return self._packed
@@ -312,7 +370,7 @@ class Ipv6Hint(SvcParam):
             raise SvcParamError("ipv6hint must be a non-empty multiple of 16 octets")
         hint = cls.__new__(cls)
         hint.addresses = tuple(
-            str(ipaddress.IPv6Address(data[i : i + 16])) for i in range(0, len(data), 16)
+            ipv6_address(data[i : i + 16])[0] for i in range(0, len(data), 16)
         )
         hint._packed = data
         return hint

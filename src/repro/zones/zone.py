@@ -127,6 +127,26 @@ class Zone:
         self._delegations.add(child_apex)
         self.version += 1
 
+    def replace_rrsets(self, rrsets: Iterable[RRset], inception: Optional[int] = None) -> None:
+        """Swap in *rrsets* (the zone takes them over), each replacing the
+        RRset its (owner, type) held, and bump ``version``.
+
+        The replaced RRsets' signatures go with them. On a signed zone an
+        *inception* re-signs just the new RRsets with the ZSK, as
+        ``sign(inception)`` would; leave it None when a full :meth:`sign`
+        follows. An entry keeps its place in the zone's order, so a body
+        patched this way matches a fresh build. The world's tier-2 reuse
+        swaps HTTPS RRsets in this way."""
+        for rrset in rrsets:
+            self._check_name(rrset.name)
+            key = (rrset.name, rrset.rdtype)
+            self._records[key] = rrset
+            if self.signed and inception is not None:
+                self._rrsigs[key] = [sign_rrset(rrset, self.apex, self.keyset.zsk, inception)]
+            else:
+                self._rrsigs.pop(key, None)
+        self.version += 1
+
     def remove_rrset(self, name: Name, rdtype: int) -> None:
         self._records.pop((name, rdtype), None)
         self._rrsigs.pop((name, rdtype), None)
@@ -257,6 +277,32 @@ class Zone:
             self._rrsigs.setdefault((name, rdtype), []).append(rrsig)
         self.signed = True
         self.version += 1
+
+    def uncovered_rrsets(self) -> List[Tuple[Name, int]]:
+        """(owner, type) of every authoritative RRset that no RRSIG made
+        by a key of the apex DNSKEY RRset covers; empty for an unsigned
+        zone.
+
+        RFC 4035 §2.2: a signed zone signs each authoritative RRset.
+        Delegation NS sets and glue (names at or below a cut) are not
+        authoritative and are exempt. "Made by a key" means the RRSIG
+        names this apex as signer and carries the algorithm and key tag
+        of a published DNSKEY; the signature bytes are not verified."""
+        if not self.signed:
+            return []
+        dnskeys = self._records.get((self.apex, rdtypes.DNSKEY))
+        keys = {(key.algorithm, key.key_tag()) for key in dnskeys or ()}
+        uncovered = []
+        for (name, rdtype) in self._records:
+            below_cut = any(name.is_subdomain_of(child) for child in self._delegations)
+            if below_cut and not (name in self._delegations and rdtype == rdtypes.DS):
+                continue
+            if not any(
+                sig.signer == self.apex and (sig.algorithm, sig.key_tag) in keys
+                for sig in self._rrsigs.get((name, rdtype), ())
+            ):
+                uncovered.append((name, rdtype))
+        return uncovered
 
     def corrupt_signature(self, name: Name, rdtype: int) -> None:
         """Flip a bit in a signature — used to model bogus chains."""

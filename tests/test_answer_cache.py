@@ -232,9 +232,11 @@ class TestZoneBodyReuse:
     """Tier 2: a reused body is value-identical to a fresh build."""
 
     def zone_key(self, zone):
+        """Every RRset of *zone* with the wire bytes of its RRSIGs."""
         return sorted(
             (rr.name.to_text(), rr.rdtype, rr.ttl,
-             tuple(sorted(r.wire_bytes() for r in rr.rdatas)))
+             tuple(sorted(r.wire_bytes() for r in rr.rdatas)),
+             tuple(sorted(s.wire_bytes() for s in zone.get_rrsigs(rr.name, rr.rdtype))))
             for rr in zone.rrsets()
         )
 
@@ -264,8 +266,11 @@ class TestZoneBodyReuse:
         assert reused.soa[0].serial == rebuilt.soa[0].serial
 
     def body_key(self, zone):
-        """zone_key without the records a date change always rewrites."""
-        return [k for k in self.zone_key(zone) if k[1] not in (rdtypes.SOA, rdtypes.DNSKEY)]
+        """zone_key without what a date change always rewrites: the SOA
+        and DNSKEY records and every signature."""
+        return [
+            k[:4] for k in self.zone_key(zone) if k[1] not in (rdtypes.SOA, rdtypes.DNSKEY)
+        ]
 
     @pytest.mark.parametrize(
         "boundary",
@@ -297,26 +302,66 @@ class TestZoneBodyReuse:
         assert self.zone_key(reused) == self.zone_key(rebuilt)
         assert reused.soa[0].serial == rebuilt.soa[0].serial
 
-    def test_alpn_change_rebuilds(self):
+    def test_alpn_change_patches_the_https_rrsets(self):
+        """An ALPN date boundary changes only the HTTPS RRsets of a
+        Cloudflare default-config zone: the stored body gets new HTTPS
+        RRsets (re-signed where the zone is signed) and equals a fresh
+        build, with no rebuild."""
+        # Population 1000 has signed candidates; 120 has none.
+        config = SimConfig(population=1000)
         boundary = timeline.H3_29_RETIREMENT
         day = boundary - datetime.timedelta(days=1)
-        warm = World(CONFIG)
+        warm = World(config)
         warm.set_time(day)
-        profile = next(
+        ns_suffix = warm.profile_by_name("cf-ns.com")
+        candidates = [
             p for p in warm.profiles
             if p.is_cloudflare and not p.custom_config and not p.www_only
-            and domains.https_configured(p, CONFIG, day)
-            and domains.https_configured(p, CONFIG, boundary)
-        )
+            and p.index != ns_suffix.index
+            and domains.https_only_change(
+                domains.zone_body_fingerprint(p, config, day, None),
+                domains.zone_body_fingerprint(p, config, boundary, None),
+            )
+        ]
+        # A signed one, so the swapped RRsets' signatures are compared too.
+        profile = next(p for p in candidates if domains.dnssec_active(p, config, boundary))
         first = warm.zone_of(profile)
         assert "h3-29" in first.get_rrset(profile.apex, rdtypes.HTTPS)[0].params.alpn
         builds = warm.zone_builds
         warm.set_time(boundary)
         zone = warm.zone_of(profile)
-        assert warm.zone_builds == builds + 1
-        assert warm.zone_body_reuses == 0
+        assert zone is first
+        assert warm.zone_builds == builds
+        assert warm.zone_body_reuses == 1
         assert "h3-29" not in zone.get_rrset(profile.apex, rdtypes.HTTPS)[0].params.alpn
 
+        fresh = World(config)
+        fresh.set_time(boundary)
+        rebuilt = fresh.zone_of(profile)
+        assert self.zone_key(zone) == self.zone_key(rebuilt)
+        assert zone.soa[0].serial == rebuilt.soa[0].serial
+        assert zone.uncovered_rrsets() == []
+
+    def test_ns_suffix_domain_rebuilds_on_https_change(self):
+        """cf-ns.com doubles as an NS suffix, so zone_of adds its NS-host
+        records after the build signs it; its HTTPS-only changes rebuild
+        the zone instead of patching the stored body."""
+        boundary = timeline.H3_29_RETIREMENT
+        day = boundary - datetime.timedelta(days=1)
+        warm = World(CONFIG)
+        warm.set_time(day)
+        profile = warm.profile_by_name("cf-ns.com")
+        assert domains.https_only_change(
+            domains.zone_body_fingerprint(profile, CONFIG, day, None),
+            domains.zone_body_fingerprint(profile, CONFIG, boundary, None),
+        )
+        first = warm.zone_of(profile)
+        builds = warm.zone_builds
+        warm.set_time(boundary)
+        zone = warm.zone_of(profile)
+        assert zone is not first
+        assert warm.zone_builds == builds + 1
+        assert warm.zone_body_reuses == 0
         fresh = World(CONFIG)
         fresh.set_time(boundary)
         assert self.zone_key(zone) == self.zone_key(fresh.zone_of(profile))

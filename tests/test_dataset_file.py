@@ -101,11 +101,16 @@ class TestOlderFormat:
         It holds every record class, run statistics and the flag that
         newer files no longer carry.
 
-        The run statistics load exactly as recorded. Its writer armed the
-        rendered-answer store in object mode too, so it counted
-        ``answer_hits``/``answer_misses`` that a fresh object-mode run,
-        which arms zone-body reuse only, reports as 0; every other
-        counter still matches the fresh run."""
+        The run statistics load exactly as recorded. Two pairs of fast-path
+        counters moved on since, by design, and are not compared with a
+        fresh run. Its writer armed the rendered-answer store in object
+        mode too, so it counted ``answer_hits``/``answer_misses`` that a
+        fresh object-mode run, which arms zone-body reuse only, reports
+        as 0. And a fresh run patches the HTTPS RRsets of a stored body
+        where its writer rebuilt the zone, so some ``zone_builds`` became
+        ``zone_body_reuses``; their sum, one per zone the world did not
+        hold for the hour, is unchanged. Every other counter matches the
+        fresh run."""
         loaded = Dataset.load(os.path.join(FIXTURES, "slot_state_p60.pkl.gz"))
         fresh = run_campaign(World(SimConfig(population=60)), day_step=45, ech_sample=3)
         assert loaded == fresh
@@ -115,12 +120,16 @@ class TestOlderFormat:
             answer_evictions=0, wire_byte_hits=0, zone_builds=508,
             zone_body_reuses=685,
         )
-        tier_1 = {"answer_hits", "answer_misses"}
+        fast_path = {"answer_hits", "answer_misses", "zone_builds", "zone_body_reuses"}
         for field in dataclasses.fields(RunStats):
-            if field.name not in tier_1:
+            if field.name not in fast_path:
                 assert getattr(loaded.run_stats, field.name) == getattr(
                     fresh.run_stats, field.name
                 ), field.name
+        assert (
+            loaded.run_stats.zone_builds + loaded.run_stats.zone_body_reuses
+            == fresh.run_stats.zone_builds + fresh.run_stats.zone_body_reuses
+        )
         assert loaded.loaded_from_cache
         snapshots = loaded.snapshots.values()
         assert loaded.ech_observations and loaded.dnssec_snapshot

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for codec round-trips and core
 invariants."""
 
+import datetime
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -389,3 +390,156 @@ def test_sign_verify_round_trip(name, addresses):
     # Tampering with any rdata breaks verification.
     tampered = RRset(name, rdtypes.A, 300, [ARdata("203.0.113.99")])
     assert not verify_blob(key.dnskey, signing_input(tampered, rrsig), rrsig.signature)
+
+
+# -- parsed-address memo ---------------------------------------------------------------------
+
+ipv6_packed_st = st.binary(min_size=16, max_size=16)
+
+
+@given(st.lists(ipv4_st, min_size=1, max_size=4), st.lists(ipv6_packed_st, min_size=1, max_size=4))
+@settings(max_examples=40)
+def test_address_memo_gives_exactly_what_ipaddress_gives(v4_texts, v6_packed):
+    import ipaddress
+
+    from repro.dnscore.rdata import AAAARdata
+    from repro.svcb.params import ipv4_packed, ipv4_text, ipv6_address
+
+    for text in v4_texts:
+        address = ipaddress.IPv4Address(text)
+        for _ in range(2):  # parsed, then from the memo
+            assert ipv4_text(text) == str(address)
+        assert ipv4_packed(ipv4_text(text)) == address.packed
+        assert ARdata(text).address == str(address)
+    v6_texts = [str(ipaddress.IPv6Address(packed)).upper() for packed in v6_packed]
+    for packed, text in zip(v6_packed, v6_texts):
+        address = ipaddress.IPv6Address(packed)
+        for value in (packed, text, packed, text):
+            assert ipv6_address(value) == (str(address), address.packed)
+        rdata = AAAARdata(text)
+        assert rdata.address == str(address)
+        assert rdata.wire_bytes() == address.packed
+    scoped = ipaddress.IPv6Address("FE80::1%eth0")
+    assert ipv6_address("FE80::1%eth0") == (str(scoped), scoped.packed)
+    hint = Ipv6Hint(v6_texts)
+    assert hint.addresses == tuple(str(ipaddress.IPv6Address(p)) for p in v6_packed)
+    assert Ipv6Hint.from_wire_value(hint.to_wire_value()).addresses == hint.addresses
+    assert Ipv4Hint(v4_texts).to_wire_value() == b"".join(
+        ipaddress.IPv4Address(t).packed for t in v4_texts
+    )
+
+
+def test_address_memo_rejects_what_ipaddress_rejects(monkeypatch):
+    import ipaddress
+
+    import pytest
+
+    from repro.svcb import params
+
+    for bad in ("1.2.3", "256.1.1.1", "01.2.3.4", "::g", b"\x00" * 3):
+        with pytest.raises(ipaddress.AddressValueError):
+            (params.ipv6_address if "::" in str(bad) else params.ipv4_text)(bad)
+    # A full memo is emptied, never overfilled.
+    monkeypatch.setattr(params, "_ADDRESS_MEMO_MAX", 2)
+    monkeypatch.setattr(params, "_IPV4_MEMO", {})
+    for text in ("10.0.0.1", "10.0.0.2", "10.0.0.3"):
+        assert params.ipv4_text(text) == text
+    assert len(params._IPV4_MEMO) == 1
+
+
+# -- tier-2 zone-body reuse ------------------------------------------------------------------
+
+# Dates where a zone's inputs move: the h3-29 retirement, the ECH week,
+# the day Cloudflare disables ECH, the DNSSEC snapshot, Google QUIC.
+_REUSE_DATES = sorted({
+    datetime.date(2023, 5, 30), datetime.date(2023, 5, 31), datetime.date(2023, 7, 20),
+    datetime.date(2023, 7, 21), datetime.date(2023, 7, 22), datetime.date(2023, 10, 4),
+    datetime.date(2023, 10, 5), datetime.date(2024, 1, 2), datetime.date(2024, 2, 11),
+})
+
+
+@st.composite
+def zone_instants(draw):
+    """Two (date, hour) instants, the second later; half share a day, so
+    the ECH key generation may change between them."""
+    first = draw(st.integers(0, len(_REUSE_DATES) - 1))
+    d1, h1 = _REUSE_DATES[first], draw(st.integers(0, 22))
+    if first == len(_REUSE_DATES) - 1 or draw(st.booleans()):
+        return (d1, h1), (d1, draw(st.integers(h1 + 1, 23)))
+    return (d1, h1), (draw(st.sampled_from(_REUSE_DATES[first + 1:])), draw(st.integers(0, 23)))
+
+
+def zone_key(zone):
+    """Every RRset of *zone* with the wire bytes of its RRSIGs."""
+    return sorted(
+        (rr.name.to_text(), rr.rdtype, rr.ttl,
+         tuple(sorted(r.wire_bytes() for r in rr.rdatas)),
+         tuple(sorted(s.wire_bytes() for s in zone.get_rrsigs(rr.name, rr.rdtype))))
+        for rr in zone.rrsets()
+    )
+
+
+def reuse_adopters(world):
+    return [p for p in world.profiles if p.adopter and p.name != "cf-ns.com"]
+
+
+def reused_zone_equals_fresh_build(seed, population, adopter, instants):
+    """Build an adopter's zone at the first instant, ask again at the
+    second, and compare with a fresh world's build at the second.
+    Returns whether the reuse swapped HTTPS RRsets into the stored body.
+
+    cf-ns.com is left out: it doubles as an NS suffix, and a reused body
+    of it signs the NS-host records a fresh build leaves unsigned
+    (ROADMAP, "Fix the NS-suffix bug")."""
+    from repro.simnet import SimConfig, World, domains
+
+    config = SimConfig(seed=str(seed), population=population)
+    (d1, h1), (d2, h2) = instants
+    warm = World(config)
+    adopters = reuse_adopters(warm)
+    profile = adopters[adopter % len(adopters)]
+    warm.set_time(d1, h1)
+    warm.zone_of(profile)
+    stored, stamp = warm._zone_bodies[profile.index][0], warm._zone_cache_stamp
+    warm.set_time(d2, h2)
+    zone = warm.zone_of(profile)
+    current = warm._zone_bodies[profile.index][0]
+    fresh = World(config)
+    fresh.set_time(d2, h2)
+    rebuilt = fresh.zone_of(profile)
+    assert zone_key(zone) == zone_key(rebuilt)
+    assert zone.soa[0].serial == rebuilt.soa[0].serial
+    assert zone.uncovered_rrsets() == rebuilt.uncovered_rrsets() == []
+    patch = stored != current and domains.https_only_change(stored, current)
+    if warm._zone_cache_stamp == stamp:  # same day and key generation
+        assert (warm.zone_builds, warm.zone_body_reuses) == (1, 0)
+    elif patch or stored == current:
+        assert (warm.zone_builds, warm.zone_body_reuses) == (1, 1)
+    else:
+        assert (warm.zone_builds, warm.zone_body_reuses) == (2, 0)
+    return patch
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.integers(60, 300),
+    st.integers(0, 9_999),
+    zone_instants(),
+)
+@settings(max_examples=30, deadline=None)
+def test_reused_zone_equals_a_fresh_build(seed, population, adopter, instants):
+    reused_zone_equals_fresh_build(seed, population, adopter, instants)
+
+
+def test_same_day_ech_rotation_patches_a_signed_body():
+    """The patch path runs on a signed body: at seed 1, population 300,
+    lumen-willow-00058.com is signed and publishes ECH, and the key
+    generation changes between 00:00 and 05:00 on Jul 21."""
+    from repro.simnet import SimConfig, World, domains
+
+    day = datetime.date(2023, 7, 21)
+    config = SimConfig(seed="1", population=300)
+    adopters = reuse_adopters(World(config))
+    index = [p.name for p in adopters].index("lumen-willow-00058.com")
+    assert domains.dnssec_active(adopters[index], config, day)
+    assert reused_zone_equals_fresh_build(1, 300, index, ((day, 0), (day, 5)))

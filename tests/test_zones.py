@@ -4,6 +4,7 @@ import pytest
 
 from repro.dnscore import rdtypes
 from repro.dnscore.names import Name
+from repro.dnscore.rrset import RRset
 from repro.zones.tree import ZoneTree
 from repro.zones.zone import Zone, ZoneError
 
@@ -123,6 +124,85 @@ class TestZoneSigning:
         zone.corrupt_signature(zone.apex, rdtypes.HTTPS)
         after = zone.get_rrsigs(zone.apex, rdtypes.HTTPS)[0].signature
         assert before != after
+
+
+def https_rrset(text):
+    return RRset.from_text("a.com.", 300, "HTTPS", text)
+
+
+class TestReplaceRrsets:
+    def make_zone(self):
+        zone = TestZoneSigning().make_zone()
+        zone.add_record("www.a.com.", "A", "1.2.3.4")
+        return zone
+
+    def test_signed_swap_equals_signing_the_new_content(self):
+        patched, fresh = self.make_zone(), self.make_zone()
+        patched.sign(NOW)
+        fresh.remove_rrset(fresh.apex, rdtypes.HTTPS)
+        fresh.add_rrset(https_rrset("1 . alpn=h3"))
+        fresh.sign(NOW)
+        version = patched.version
+        untouched = patched.get_rrsigs(patched.apex, rdtypes.A)
+        patched.replace_rrsets([https_rrset("1 . alpn=h3")], NOW)
+        assert patched.version > version
+        assert patched.get_rrset(patched.apex, rdtypes.HTTPS) == fresh.get_rrset(
+            fresh.apex, rdtypes.HTTPS
+        )
+        for rdtype in (rdtypes.HTTPS, rdtypes.A, rdtypes.SOA, rdtypes.DNSKEY):
+            assert [s.wire_bytes() for s in patched.get_rrsigs(patched.apex, rdtype)] == [
+                s.wire_bytes() for s in fresh.get_rrsigs(fresh.apex, rdtype)
+            ]
+        assert patched.get_rrsigs(patched.apex, rdtypes.A) == untouched
+        assert patched.uncovered_rrsets() == []
+
+    def test_swap_keeps_the_record_order(self):
+        zone = self.make_zone()
+        order = list(zone._records)
+        zone.replace_rrsets([https_rrset("1 . alpn=h3")])
+        assert list(zone._records) == order
+
+    def test_unsigned_swap_drops_the_old_signature(self):
+        zone = self.make_zone()
+        zone.sign(NOW)
+        zone.replace_rrsets([https_rrset("1 . alpn=h3")])
+        assert zone.get_rrsigs(zone.apex, rdtypes.HTTPS) == []
+        assert zone.uncovered_rrsets() == [(zone.apex, rdtypes.HTTPS)]
+
+
+class TestUncoveredRrsets:
+    def test_unsigned_zone_has_nothing_to_cover(self):
+        assert TestZoneSigning().make_zone().uncovered_rrsets() == []
+
+    def test_signed_zone_is_covered(self):
+        zone = TestZoneSigning().make_zone()
+        zone.sign(NOW)
+        assert zone.uncovered_rrsets() == []
+
+    def test_record_added_after_signing_is_uncovered(self):
+        zone = TestZoneSigning().make_zone()
+        zone.sign(NOW)
+        zone.add_record("ns1.a.com.", "A", "5.6.7.8")
+        assert zone.uncovered_rrsets() == [(Name.from_text("ns1.a.com."), rdtypes.A)]
+
+    def test_signature_by_a_foreign_key_does_not_cover(self):
+        zone = TestZoneSigning().make_zone()
+        zone.sign(NOW)
+        other = Zone(Name.from_text("b.com."))
+        other.ensure_soa()
+        other.sign(NOW)
+        zone._rrsigs[(zone.apex, rdtypes.A)] = other.get_rrsigs(other.apex, rdtypes.SOA)
+        assert zone.uncovered_rrsets() == [(zone.apex, rdtypes.A)]
+
+    def test_delegation_ns_and_glue_are_exempt(self):
+        zone = Zone(Name.from_text("com."))
+        zone.ensure_soa()
+        child = Name.from_text("a.com.")
+        zone.delegate(child, [Name.from_text("ns1.a.com.")])
+        zone.add_record("ns1.a.com.", "A", "1.2.3.4")
+        zone.sign(NOW)
+        zone._rrsigs.pop((Name.from_text("ns1.a.com."), rdtypes.A))
+        assert zone.uncovered_rrsets() == []
 
 
 class TestZoneTree:
